@@ -36,25 +36,21 @@
 #                coordinator plus three scanworker processes (one
 #                chaos-killed mid-shard) must journal byte-identically
 #                to a single-process run of the same scan
-#   make perf    regenerate the recorded perf trajectory (BENCH_9.json,
-#                schema geobench/3): samples/sec single-process vs
-#                1/2/4 fabric workers, allocs/sample, per-worker lease
-#                wait, resume replay speedup, ns/record wire encoding,
-#                and ns/lookup + allocs/lookup against the verdict
-#                snapshot
-#   make perf-diff  gate the fresh trajectory against the committed
-#                BENCH_7.json baseline: >15% regression in samples/sec,
-#                ns/lookup, or ns/record (or any allocation on the
-#                verdict serving path) fails the build
 #   make soak    the verdict edge's full soak: 32 concurrent clients, a
 #                live snapshot swap mid-run, zero dropped or incorrect
 #                verdicts, p99 service latency and in-process lookup
 #                floors enforced (the same test runs in a trimmed shape
 #                under plain `make check`)
+#
+# Study-level performance is measured by the repo's one benchmark,
+# perfbench (a nested module, so `./...` skips it): run
+# `python3 perfbench/run.py --workload top10k|durable|fabric` for a
+# measurement and `cd perfbench && go test .` for its tests; see
+# perfbench/README.md.
 
 GO ?= go
 
-.PHONY: check lint lint-json race cover fuzz bench profile fabric-test perf perf-diff soak
+.PHONY: check lint lint-json race cover fuzz bench profile fabric-test soak
 
 check:
 	$(GO) build ./...
@@ -113,12 +109,6 @@ profile:
 
 fabric-test:
 	sh scripts/fabric_integration.sh
-
-perf:
-	$(GO) run ./cmd/geobench -out BENCH_9.json
-
-perf-diff:
-	$(GO) run ./scripts/benchdiff.go -base BENCH_7.json -new BENCH_9.json
 
 soak:
 	GEOBLOCK_SOAK=full $(GO) test ./cmd/worldd -run TestVerdictSoak -v -count=1

@@ -25,11 +25,11 @@ import (
 	"geoblock/internal/cluster"
 	"geoblock/internal/fingerprint"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/ooni"
 	"geoblock/internal/outlier"
 	"geoblock/internal/proxy"
 	"geoblock/internal/runstore"
+	"geoblock/internal/scanner"
 	"geoblock/internal/stats"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/textfeat"
@@ -452,7 +452,10 @@ func BenchmarkAblationHeaders(b *testing.B) {
 		}
 	}
 	count403 := func(headers map[string]string, phase string) int {
-		res := lumscan.ScanVPS(fleet, domains, lumscan.Config{Samples: 1, Headers: headers, Phase: phase})
+		res, err := scanner.ScanVPS(context.Background(), fleet, domains, scanner.Config{Samples: 1, Headers: headers, Phase: phase})
+		if err != nil {
+			b.Fatal(err)
+		}
 		n := 0
 		for i := range res.Samples {
 			if res.Samples[i].Status == 403 {
@@ -464,8 +467,8 @@ func BenchmarkAblationHeaders(b *testing.B) {
 	var bare, full int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bare = count403(lumscan.ZGrabHeaders(), "ablate-bare")
-		full = count403(lumscan.BrowserHeaders(), "ablate-full")
+		bare = count403(scanner.ZGrabHeaders(), "ablate-bare")
+		full = count403(scanner.BrowserHeaders(), "ablate-full")
 	}
 	b.ReportMetric(float64(bare), "bare-ua-403s")
 	b.ReportMetric(float64(full), "browser-headers-403s")
@@ -550,12 +553,15 @@ func BenchmarkLumscanCountry(b *testing.B) {
 		domains = append(domains, d.Name)
 	}
 	countries := []geo.CountryCode{"DE"}
-	tasks := lumscan.CrossProduct(len(domains), 1)
-	cfg := lumscan.DefaultConfig()
+	tasks := scanner.CrossProduct(len(domains), 1)
+	cfg := scanner.DefaultConfig()
 	cfg.Samples = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := lumscan.Scan(net, domains, countries, tasks, cfg)
+		res, err := scanner.Scan(context.Background(), net, domains, countries, tasks, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(res.Samples) != len(domains) {
 			b.Fatal("wrong sample count")
 		}
@@ -568,7 +574,7 @@ func BenchmarkCDNServe(b *testing.B) {
 	d := sys.World.Top10K()[0]
 	ip, _ := sys.World.Geo.HostIP("FR", 1)
 	h := make(http.Header)
-	for k, v := range lumscan.BrowserHeaders() {
+	for k, v := range scanner.BrowserHeaders() {
 		h.Set(k, v)
 	}
 	req := cdn.Request{
@@ -726,7 +732,7 @@ func BenchmarkAblationDendrogram(b *testing.B) {
 // scanBenchWorld builds a country-skewed workload: one country carries
 // 10× the tasks of the rest — the shape that serialized the old
 // one-worker-per-country engine.
-func scanBenchWorld(b *testing.B) (*proxy.Network, []string, []geo.CountryCode, []lumscan.Task) {
+func scanBenchWorld(b *testing.B) (*proxy.Network, []string, []geo.CountryCode, []scanner.Task) {
 	b.Helper()
 	sys := New(Options{Scale: benchScale, Seed: 403})
 	net := proxy.NewNetwork(sys.World)
@@ -735,20 +741,20 @@ func scanBenchWorld(b *testing.B) (*proxy.Network, []string, []geo.CountryCode, 
 		domains = append(domains, d.Name)
 	}
 	countries := []geo.CountryCode{"US", "DE", "IR", "SY", "BR", "IN", "RU", "CN"}
-	var tasks []lumscan.Task
+	var tasks []scanner.Task
 	for d := range domains {
-		tasks = append(tasks, lumscan.Task{Domain: int32(d), Country: 0})
+		tasks = append(tasks, scanner.Task{Domain: int32(d), Country: 0})
 	}
 	for c := 1; c < len(countries); c++ {
 		for d := 0; d < len(domains)/10; d++ {
-			tasks = append(tasks, lumscan.Task{Domain: int32(d), Country: int16(c)})
+			tasks = append(tasks, scanner.Task{Domain: int32(d), Country: int16(c)})
 		}
 	}
 	return net, domains, countries, tasks
 }
 
-func scanBenchConfig() lumscan.Config {
-	cfg := lumscan.DefaultConfig()
+func scanBenchConfig() scanner.Config {
+	cfg := scanner.DefaultConfig()
 	cfg.Samples = 2
 	cfg.Phase = "bench-engine"
 	cfg.Concurrency = runtime.GOMAXPROCS(0)
@@ -765,7 +771,10 @@ func BenchmarkScanCollect(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := lumscan.Scan(net, domains, countries, tasks, cfg)
+		res, err := scanner.Scan(context.Background(), net, domains, countries, tasks, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		total += len(res.Samples)
 	}
 	b.StopTimer()
@@ -785,8 +794,8 @@ func BenchmarkScanStreaming(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := lumscan.ScanStream(context.Background(), net, domains, countries, tasks, cfg,
-			lumscan.SinkFunc(func(s lumscan.Sample) {
+		err := scanner.Run(context.Background(), net, domains, countries, tasks, cfg,
+			scanner.SinkFunc(func(s scanner.Sample) {
 				total++
 				if s.OK() && s.Status == 403 {
 					blocks++
@@ -810,12 +819,12 @@ func BenchmarkScanStreaming(b *testing.B) {
 // and the virtual clock's atomic load are noise against request cost).
 func BenchmarkScanInstrumented(b *testing.B) {
 	net, domains, countries, tasks := scanBenchWorld(b)
-	sink := lumscan.SinkFunc(func(lumscan.Sample) {})
+	sink := scanner.SinkFunc(func(scanner.Sample) {})
 	run := func(reg *telemetry.Registry) time.Duration {
 		cfg := scanBenchConfig()
 		cfg.Metrics = reg
 		start := time.Now() //geolint:allow determinism benchmarking wall time
-		if err := lumscan.ScanStream(context.Background(), net, domains, countries, tasks, cfg, sink); err != nil {
+		if err := scanner.Run(context.Background(), net, domains, countries, tasks, cfg, sink); err != nil {
 			b.Fatal(err)
 		}
 		return time.Since(start) //geolint:allow determinism benchmarking wall time
@@ -862,7 +871,10 @@ func BenchmarkScanSkewedSharded(b *testing.B) {
 			return simRTT{rt: rt, delay: 200 * time.Microsecond}
 		}
 		start := time.Now() //geolint:allow determinism benchmarking wall time
-		res := lumscan.Scan(net, domains, countries, tasks, cfg)
+		res, err := scanner.Scan(context.Background(), net, domains, countries, tasks, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(res.Samples) == 0 {
 			b.Fatal("empty scan")
 		}
@@ -889,7 +901,7 @@ func BenchmarkScanSkewedSharded(b *testing.B) {
 // phase is than scanning it again.
 func BenchmarkScanColdVsResume(b *testing.B) {
 	net, domains, countries, tasks := scanBenchWorld(b)
-	sink := lumscan.SinkFunc(func(lumscan.Sample) {})
+	sink := scanner.SinkFunc(func(scanner.Sample) {})
 	run := func(dir string) time.Duration {
 		st, err := runstore.Open(dir, runstore.Options{})
 		if err != nil {
@@ -902,8 +914,8 @@ func BenchmarkScanColdVsResume(b *testing.B) {
 			Fingerprint: 403,
 			Cfg:         scanBenchConfig(),
 			Sink:        sink,
-			Run: func(cfg lumscan.Config, s lumscan.Sink) error {
-				return lumscan.ScanStream(context.Background(), net, domains, countries, tasks, cfg, s)
+			Run: func(cfg scanner.Config, s scanner.Sink) error {
+				return scanner.Run(context.Background(), net, domains, countries, tasks, cfg, s)
 			},
 		})
 		if err != nil {

@@ -26,8 +26,8 @@ import (
 	"geoblock"
 	"geoblock/internal/analysis"
 	"geoblock/internal/faults"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/papertables"
+	"geoblock/internal/scanner"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
 )
@@ -142,7 +142,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "geoscan: metrics on http://%s/debug/metrics\n", *metricsAddr)
 	}
 	stopProgress := telemetry.StartProgress(os.Stderr, 2*time.Second, func() string {
-		return "geoscan: " + lumscan.ProgressLine(reg)
+		return "geoscan: " + scanner.ProgressLine(reg)
 	})
 	defer stopProgress()
 

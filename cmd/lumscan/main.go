@@ -26,9 +26,9 @@ import (
 	"geoblock/internal/faults"
 	"geoblock/internal/fingerprint"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/proxy"
 	"geoblock/internal/runstore"
+	"geoblock/internal/scanner"
 	"geoblock/internal/stats"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
@@ -167,7 +167,7 @@ func main() {
 		}
 	}
 
-	cfg := lumscan.DefaultConfig()
+	cfg := scanner.DefaultConfig()
 	cfg.Samples = *samples
 	cfg.Phase = "cli"
 	cfg.Metrics = reg
@@ -176,7 +176,7 @@ func main() {
 		cfg.TraceWall = tracer.WallClock()
 	}
 	if *zgrab {
-		cfg.Headers = lumscan.ZGrabHeaders()
+		cfg.Headers = scanner.ZGrabHeaders()
 	}
 
 	if *resume && *storeDir == "" {
@@ -208,12 +208,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	stopProgress := telemetry.StartProgress(os.Stderr, 2*time.Second, func() string {
-		return "lumscan: " + lumscan.ProgressLine(reg)
+		return "lumscan: " + scanner.ProgressLine(reg)
 	})
 	fmt.Printf("%-28s %-4s %-3s %-8s %-6s %-16s %s\n",
 		"DOMAIN", "CC", "N", "STATUS", "BYTES", "EXIT", "PAGE")
-	tasks := lumscan.CrossProduct(len(domains), len(countries))
-	sink := &cliSink{emit: func(s lumscan.Sample) {
+	tasks := scanner.CrossProduct(len(domains), len(countries))
+	sink := &cliSink{emit: func(s scanner.Sample) {
 		domain := domains[s.Domain]
 		cc := countries[s.Country]
 		if !s.OK() {
@@ -232,11 +232,11 @@ func main() {
 		fmt.Printf("%-28s %-4s %-3d %-8d %-6d %-16s %s\n",
 			domain, cc, s.Attempt, s.Status, s.BodyLen, s.ExitIP, page)
 	}}
-	runScan := func(cfg lumscan.Config, sk lumscan.Sink) error {
+	runScan := func(cfg scanner.Config, sk scanner.Sink) error {
 		if coord != nil {
 			return coord.RunPhase(ctx, domains, countries, tasks, cfg, sk)
 		}
-		return lumscan.ScanStream(ctx, net, domains, countries, tasks, cfg, sk)
+		return scanner.Run(ctx, net, domains, countries, tasks, cfg, sk)
 	}
 	var err error
 	if store != nil {
@@ -280,17 +280,17 @@ func main() {
 // per-country outages and the attained-vs-requested coverage line — to
 // stderr, where it survives piping the sample stream elsewhere.
 type cliSink struct {
-	emit func(lumscan.Sample)
+	emit func(scanner.Sample)
 }
 
-func (c *cliSink) Emit(s lumscan.Sample) { c.emit(s) }
+func (c *cliSink) Emit(s scanner.Sample) { c.emit(s) }
 
-func (c *cliSink) EmitOutage(o lumscan.Outage) {
+func (c *cliSink) EmitOutage(o scanner.Outage) {
 	fmt.Fprintf(os.Stderr, "lumscan: outage %s (%s): %d/%d shards, %d tasks lost\n",
 		o.Country, o.Reason, o.Shards, o.ShardsTotal, o.Tasks)
 }
 
-func (c *cliSink) EmitCoverage(cov lumscan.Coverage) {
+func (c *cliSink) EmitCoverage(cov scanner.Coverage) {
 	if cov.Full() {
 		return
 	}

@@ -55,6 +55,9 @@ func main() {
 		Name:        *name,
 		Sleep:       time.Sleep, //geolint:allow determinism worker poll backoff waits on the real wall clock
 		Trace:       tracer,
+		// A wall-clock registry times each unit, so the coordinator's
+		// country spans read real execution time.
+		Metrics: telemetry.NewWithClock(telemetry.Wall{}),
 	}
 	if *verbose {
 		opts.Log = func(format string, args ...any) { log.Printf(format, args...) }

@@ -63,7 +63,7 @@ func timedFabricStudy(t *testing.T, nWorkers int) time.Duration {
 	return elapsed
 }
 
-// TestFabricScalesWithWorkers is the regression gate for the BENCH_6
+// TestFabricScalesWithWorkers is the regression gate for an earlier
 // finding: per-unit leasing made every fabric configuration slower than
 // a single worker (4 workers ran ~43% behind), because each tiny unit
 // cost a full coordinator round trip. With batched lease grants, adding

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/pipeline"
+	"geoblock/internal/scanner"
 	"geoblock/internal/worldgen"
 )
 
@@ -88,16 +88,16 @@ func TestBuildCountryCDNDuplicateDomainsCountInstances(t *testing.T) {
 }
 
 func TestBuildErrorStats(t *testing.T) {
-	res := &lumscan.Result{
+	res := &scanner.Result{
 		Domains:   []string{"a", "b"},
 		Countries: []geo.CountryCode{"US", "KM"},
-		Samples: []lumscan.Sample{
+		Samples: []scanner.Sample{
 			{Domain: 0, Country: 0, Status: 200},
 			{Domain: 0, Country: 0, Status: 200},
-			{Domain: 0, Country: 1, Err: lumscan.ErrTimeout},
+			{Domain: 0, Country: 1, Err: scanner.ErrTimeout},
 			{Domain: 1, Country: 0, Status: 200},
-			{Domain: 1, Country: 1, Err: lumscan.ErrProxy},
-			{Domain: 1, Country: 1, Err: lumscan.ErrProxy},
+			{Domain: 1, Country: 1, Err: scanner.ErrProxy},
+			{Domain: 1, Country: 1, Err: scanner.ErrProxy},
 		},
 	}
 	es := BuildErrorStats(res)

@@ -9,8 +9,8 @@ import (
 	"geoblock/internal/blockpage"
 	"geoblock/internal/category"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/pipeline"
+	"geoblock/internal/scanner"
 	"geoblock/internal/stats"
 	"geoblock/internal/worldgen"
 )
@@ -318,7 +318,7 @@ func MedianBlockedPerCountry(findings []pipeline.Finding, countries []geo.Countr
 // RespondingDomains lists the tested domains that answered at least one
 // sample — the denominators of Tables 4 and 8 ("Tested" counts only
 // domains the study could actually reach).
-func RespondingDomains(res *lumscan.Result) []string {
+func RespondingDomains(res *scanner.Result) []string {
 	ok := make([]bool, len(res.Domains))
 	for i := range res.Samples {
 		if res.Samples[i].OK() {
@@ -348,7 +348,7 @@ type ErrorStats struct {
 }
 
 // BuildErrorStats computes the reliability summary from a scan.
-func BuildErrorStats(res *lumscan.Result) ErrorStats {
+func BuildErrorStats(res *scanner.Result) ErrorStats {
 	domainErr := make([]int, len(res.Domains))
 	domainAll := make([]int, len(res.Domains))
 	type pairIdx struct {

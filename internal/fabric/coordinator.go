@@ -483,6 +483,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		}
 		res.Metrics = &pl.Snapshot
 		res.Trace = pl.Trace
+		res.Elapsed = time.Duration(pl.ElapsedNS)
 	}
 
 	c.mu.Lock()

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -389,5 +390,59 @@ func TestWorkerRejectsUnknownFaultProfile(t *testing.T) {
 	defer srv.Close()
 	if _, err := NewWorker(context.Background(), WorkerOptions{Coordinator: srv.URL, Name: "w"}); err == nil {
 		t.Fatal("NewWorker accepted an unknown fault profile")
+	}
+}
+
+// tickClock advances one microsecond on every read.
+type tickClock struct{ ns atomic.Int64 }
+
+func (c *tickClock) Now() time.Time { return time.Unix(0, c.ns.Add(int64(time.Microsecond))).UTC() }
+
+// TestFabricCountrySpansCarryExecutionTime: each completion carries its
+// unit's execution time on the worker's clock, and the coordinator
+// credits it to the country span — so spans read real work even when
+// the coordinator's own clock stands still.
+func TestFabricCountrySpansCarryExecutionTime(t *testing.T) {
+	domains, countries, tasks, cfg := fabricInputs()
+	reg := telemetry.New() // virtual: never advances on its own
+	cfg.Metrics = reg
+	coord := New(Options{Study: StudySpec{World: worldgen.TestConfig()}, LeaseTTL: -1, Metrics: reg})
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	var phaseErr, workerErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		phaseErr = coord.RunPhase(ctx, domains, countries, tasks, cfg, &scanner.Collect{})
+		coord.FinishStudy()
+	}()
+	w, err := NewWorker(ctx, WorkerOptions{
+		Coordinator: srv.URL, Name: "ticking", Sleep: yield,
+		Metrics: telemetry.NewWithClock(&tickClock{}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		workerErr = w.Run(ctx)
+	}()
+	wg.Wait()
+	if phaseErr != nil || workerErr != nil {
+		t.Fatalf("RunPhase: %v; worker: %v", phaseErr, workerErr)
+	}
+
+	spans := reg.Snapshot().Spans
+	if len(spans) != 1 || len(spans[0].Children) != len(countries) {
+		t.Fatalf("span tree = %+v, want one scan span over %d countries", spans, len(countries))
+	}
+	for _, c := range spans[0].Children {
+		if c.TotalMicros <= 0 {
+			t.Fatalf("country span %s reads %dµs; the units' execution time was lost", c.Name, c.TotalMicros)
+		}
 	}
 }

@@ -145,7 +145,7 @@ const (
 // round trip. Units are small (a shard of ~32 tasks executes in
 // milliseconds on the simulated net), so per-unit leasing makes the
 // coordinator round trip the dominant cost and workers spend their
-// time waiting on HTTP instead of scanning — the BENCH_6 regression.
+// time waiting on HTTP instead of scanning.
 // Batching amortizes one round trip over K units.
 const DefaultLeaseBatch = 16
 
@@ -177,13 +177,15 @@ type UnitLease struct {
 
 // unitPayload is what rides Checkpoint.Metrics across the wire in a
 // completion: the unit's full staged metrics snapshot (embedded, so an
-// untraced payload's JSON is exactly the bare snapshot) plus its trace
-// events. Transport only — the coordinator journal re-derives its
+// untraced payload on a virtual clock is exactly the bare snapshot),
+// its trace events, and its execution time on the worker's clock.
+// Transport only — the coordinator journal re-derives its
 // deterministic checkpoint view from the rehydrated staging registry,
 // so these bytes never land in a segment file.
 type unitPayload struct {
 	telemetry.Snapshot
-	Trace []trace.Event `json:"trace,omitempty"`
+	Trace     []trace.Event `json:"trace,omitempty"`
+	ElapsedNS int64         `json:"elapsed_ns,omitempty"`
 }
 
 // LeaseGrant is the coordinator's answer to a lease request.

@@ -255,7 +255,7 @@ func (w *Worker) runUnit(ctx context.Context, phase int, lease UnitLease) error 
 	// wire so the coordinator's live registry merge and merged timeline
 	// match an in-process run; the journal keeps only its deterministic
 	// view.
-	pl := unitPayload{Trace: res.Trace}
+	pl := unitPayload{Trace: res.Trace, ElapsedNS: int64(res.Elapsed)}
 	if res.Metrics != nil {
 		pl.Snapshot = *res.Metrics
 	}
@@ -322,6 +322,10 @@ func (w *Worker) ensurePhase(ctx context.Context, id int) (bool, error) {
 		return false, fmt.Errorf("fabric: decoding phase %d spec: %w", id, err)
 	}
 	cfg := spec.Config.Config()
+	// The worker's units tick on its own clock, so the execution time
+	// each completion reports — and its staged latencies — are this
+	// process's to measure. Never part of the plan fingerprint.
+	cfg.Metrics = w.opts.Metrics
 	if spec.Trace.Valid() {
 		// Pin the coordinator-issued scan context so every unit context
 		// (and every event ID) derives identically here and there. The

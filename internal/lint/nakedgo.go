@@ -22,7 +22,6 @@ var Nakedgo = &Analyzer{
 		"geoblock/internal/scanner/...",
 		"geoblock/internal/pipeline/...",
 		"geoblock/internal/proxy/...",
-		"geoblock/internal/lumscan/...",
 		"geoblock/internal/faults/...",
 		"geoblock/internal/fabric/...",
 		"geoblock/internal/verdict/...",

@@ -5,8 +5,8 @@
 //
 //  1. A scanner.Outage (or []Outage) produced by a call must not be
 //     discarded — dropping it un-counts a lost country.
-//  2. An error returned by the scan/sink vocabulary (package scanner or
-//     lumscan functions, Emit*/Flush methods, internal/report encoders)
+//  2. An error returned by the scan/sink vocabulary (package scanner
+//     functions, Emit*/Flush methods, internal/report encoders)
 //     must not be ignored: a cancelled or failed scan that reports nil
 //     coverage loss looks identical to a perfect run.
 //  3. fmt.Errorf with an error operand must wrap it with %w — %v/%s
@@ -115,7 +115,6 @@ func isBlank(e ast.Expr) bool {
 }
 
 // isOutageType matches scanner.Outage, []Outage, and pointers to them.
-// lumscan.Outage is a type alias, so it resolves to the same named type.
 func isOutageType(t types.Type) bool {
 	if sl, ok := t.Underlying().(*types.Slice); ok {
 		t = sl.Elem()
@@ -125,8 +124,8 @@ func isOutageType(t types.Type) bool {
 
 // errorVocabulary reports whether fn belongs to the scan/sink
 // vocabulary whose errors carry outcome information: anything exported
-// by the engine or its facade, the streaming sink methods, and the
-// table/CSV encoders the paper artifacts flow through.
+// by the engine, the streaming sink methods, and the table/CSV encoders
+// the paper artifacts flow through.
 func errorVocabulary(fn *types.Func) bool {
 	switch fn.Name() {
 	case "Emit", "EmitOutage", "EmitCoverage", "Flush":
@@ -134,7 +133,7 @@ func errorVocabulary(fn *types.Func) bool {
 	}
 	if pkg := fn.Pkg(); pkg != nil {
 		switch pkg.Path() {
-		case "geoblock/internal/scanner", "geoblock/internal/lumscan", "geoblock/internal/report":
+		case "geoblock/internal/scanner", "geoblock/internal/report":
 			return true
 		}
 	}

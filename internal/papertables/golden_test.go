@@ -10,8 +10,8 @@ import (
 	"geoblock/internal/analysis"
 	"geoblock/internal/cfrules"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/pipeline"
+	"geoblock/internal/scanner"
 	"geoblock/internal/worldgen"
 )
 
@@ -58,11 +58,11 @@ func TestPaperTablesGolden(t *testing.T) {
 // form.
 func TestCoverageTableGolden(t *testing.T) {
 	var buf bytes.Buffer
-	PrintCoverage(&buf, "chaos scan", []lumscan.Outage{
-		{Country: "IR", Reason: lumscan.OutageDark, Shards: 13, ShardsTotal: 13, Tasks: 391},
-		{Country: "SY", Reason: lumscan.OutageBrownout, Shards: 2, ShardsTotal: 9, Tasks: 64},
-	}, lumscan.Coverage{Requested: 177, Attained: 176, Lost: []geo.CountryCode{"IR"}, TasksLost: 455})
-	PrintCoverage(&buf, "clean scan", nil, lumscan.Coverage{Requested: 177, Attained: 177})
+	PrintCoverage(&buf, "chaos scan", []scanner.Outage{
+		{Country: "IR", Reason: scanner.OutageDark, Shards: 13, ShardsTotal: 13, Tasks: 391},
+		{Country: "SY", Reason: scanner.OutageBrownout, Shards: 2, ShardsTotal: 9, Tasks: 64},
+	}, scanner.Coverage{Requested: 177, Attained: 176, Lost: []geo.CountryCode{"IR"}, TasksLost: 455})
+	PrintCoverage(&buf, "clean scan", nil, scanner.Coverage{Requested: 177, Attained: 177})
 	compareGolden(t, "coverage.golden", buf.Bytes())
 }
 

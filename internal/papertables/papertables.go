@@ -13,10 +13,10 @@ import (
 	"geoblock/internal/blockpage"
 	"geoblock/internal/cfrules"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/ooni"
 	"geoblock/internal/pipeline"
 	"geoblock/internal/report"
+	"geoblock/internal/scanner"
 	"geoblock/internal/stats"
 	"geoblock/internal/worldgen"
 )
@@ -384,7 +384,7 @@ func PrintRegional(w io.Writer, findings []pipeline.RegionalFinding) {
 // run with full coverage prints a single confirmation line, so readers
 // of a degraded report can tell the difference between "nothing lost"
 // and "nobody checked".
-func PrintCoverage(w io.Writer, phase string, outages []lumscan.Outage, cov lumscan.Coverage) {
+func PrintCoverage(w io.Writer, phase string, outages []scanner.Outage, cov scanner.Coverage) {
 	if len(outages) == 0 {
 		fmt.Fprintf(w, "Coverage (%s): %d/%d countries, no outages\n\n", phase, cov.Attained, cov.Requested)
 		return

@@ -1,10 +1,11 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
-	"geoblock/internal/lumscan"
 	"geoblock/internal/proxy"
+	"geoblock/internal/scanner"
 	"geoblock/internal/worldgen"
 )
 
@@ -16,7 +17,7 @@ func TestScanDeterminismAcrossSystems(t *testing.T) {
 	cfg := worldgen.TestConfig()
 	cfg.Scale = 0.02
 	cfg.Seed = 11
-	run := func() *lumscan.Result {
+	run := func() *scanner.Result {
 		w := worldgen.Generate(cfg)
 		net := proxy.NewNetwork(w)
 		var domains []string
@@ -24,9 +25,13 @@ func TestScanDeterminismAcrossSystems(t *testing.T) {
 			domains = append(domains, d.Name)
 		}
 		countries := w.Geo.Measurable()
-		sc := lumscan.DefaultConfig()
+		sc := scanner.DefaultConfig()
 		sc.Phase = "det"
-		return lumscan.Scan(net, domains, countries, lumscan.CrossProduct(len(domains), len(countries)), sc)
+		res, err := scanner.Scan(context.Background(), net, domains, countries, scanner.CrossProduct(len(domains), len(countries)), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 	a, b := run(), run()
 	if len(a.Samples) != len(b.Samples) {

@@ -6,8 +6,8 @@ import (
 	"geoblock/internal/blockpage"
 	"geoblock/internal/cdnid"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/proxy"
+	"geoblock/internal/scanner"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/worldgen"
 )
@@ -88,7 +88,7 @@ func (s *Study) RunExploration() *ExploreResult {
 		len(domains), r.NSCloudflare, r.NSAkamai)
 
 	fleet := proxy.VPSFleet(s.World, proxy.VPSCountries())
-	cfg := lumscan.Config{Samples: 1, Headers: lumscan.ZGrabHeaders(), Phase: "explore", MaxRedirects: 10,
+	cfg := scanner.Config{Samples: 1, Headers: scanner.ZGrabHeaders(), Phase: "explore", MaxRedirects: 10,
 		Metrics: s.Metrics, Span: sp}
 
 	countryIdx := map[geo.CountryCode]int16{}
@@ -103,7 +103,7 @@ func (s *Study) RunExploration() *ExploreResult {
 	blockPairs := map[pair]blockpage.Kind{}
 	uniqueDomains := map[int32]bool{}
 	s.noteScanErr("explore", s.scanVPSStream("explore", cfg, fleet, domains, nil,
-		lumscan.SinkFunc(func(sm lumscan.Sample) {
+		scanner.SinkFunc(func(sm scanner.Sample) {
 			if !sm.OK() {
 				return
 			}
@@ -140,12 +140,12 @@ func (s *Study) RunExploration() *ExploreResult {
 		}
 		return keys[i].domain < keys[j].domain
 	})
-	verifyCfg := lumscan.Config{Samples: 1, Headers: lumscan.BrowserHeaders(), Phase: "explore-verify", MaxRedirects: 10,
+	verifyCfg := scanner.Config{Samples: 1, Headers: scanner.BrowserHeaders(), Phase: "explore-verify", MaxRedirects: 10,
 		Metrics: s.Metrics, Span: sp}
 	for _, key := range keys {
 		kind := blockPairs[key]
 		r.PerProviderPairs[kind]++
-		var sub lumscan.Collect
+		var sub scanner.Collect
 		s.noteScanErr("explore-verify", s.scanVPSStream("explore-verify", verifyCfg,
 			fleet[key.country:key.country+1], []string{domains[key.domain]}, nil, &sub))
 		genuine := false

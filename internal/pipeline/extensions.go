@@ -9,7 +9,7 @@ import (
 	"geoblock/internal/blockpage"
 	"geoblock/internal/censor"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
+	"geoblock/internal/scanner"
 	"geoblock/internal/stats"
 	"geoblock/internal/vnet"
 )
@@ -76,7 +76,7 @@ func (s *Study) AnalyzeTimeouts(r *Top10KResult, resamples int) *TimeoutResult {
 		case sm.OK():
 			t.responses++
 			domainOK[sm.Domain]++
-		case sm.Err == lumscan.ErrTimeout:
+		case sm.Err == scanner.ErrTimeout:
 			t.timeouts++
 		default:
 			t.other++
@@ -107,13 +107,13 @@ func (s *Study) AnalyzeTimeouts(r *Top10KResult, resamples int) *TimeoutResult {
 		domains = append(domains, d)
 	}
 	sort.Slice(domains, func(i, j int) bool { return domains[i] < domains[j] })
-	var tasks []lumscan.Task
+	var tasks []scanner.Task
 	for _, d := range domains {
 		cs := candCountries[d]
 		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
 		for _, c := range cs {
 			if s.timesOutFromDatacenter(r.SafeDomains[d], r.Countries[c]) {
-				tasks = append(tasks, lumscan.Task{Domain: d, Country: c})
+				tasks = append(tasks, scanner.Task{Domain: d, Country: c})
 			}
 		}
 	}
@@ -125,7 +125,7 @@ func (s *Study) AnalyzeTimeouts(r *Top10KResult, resamples int) *TimeoutResult {
 	scanCfg.Retries = 0
 	confirm := map[pairKey]*tally{}
 	s.noteScanErr("timeout-confirm", s.scanStream("timeout-confirm", scanCfg, r.SafeDomains, r.Countries, tasks,
-		lumscan.SinkFunc(func(sm lumscan.Sample) {
+		scanner.SinkFunc(func(sm scanner.Sample) {
 			key := pairKey{sm.Domain, sm.Country}
 			t := confirm[key]
 			if t == nil {
@@ -135,7 +135,7 @@ func (s *Study) AnalyzeTimeouts(r *Top10KResult, resamples int) *TimeoutResult {
 			switch {
 			case sm.OK():
 				t.responses++
-			case sm.Err == lumscan.ErrTimeout:
+			case sm.Err == scanner.ErrTimeout:
 				t.timeouts++
 			default:
 				t.other++
@@ -180,7 +180,7 @@ func (s *Study) timesOutFromDatacenter(domain string, cc geo.CountryCode) bool {
 	if err != nil {
 		return false
 	}
-	for k, v := range lumscan.BrowserHeaders() {
+	for k, v := range scanner.BrowserHeaders() {
 		req.Header.Set(k, v)
 	}
 	resp, err := client.Do(req)
@@ -245,7 +245,7 @@ func (s *Study) RunAppLayerStudy(domains []string, ref geo.CountryCode, targets 
 		if err != nil {
 			return applayer.Observation{}, false
 		}
-		for k, v := range lumscan.BrowserHeaders() {
+		for k, v := range scanner.BrowserHeaders() {
 			req.Header.Set(k, v)
 		}
 		resp, err := client.Do(req)
@@ -353,7 +353,7 @@ func (s *Study) regionBlockRate(domain string, crimea bool, samples int) (float6
 		if err != nil {
 			continue
 		}
-		for k, v := range lumscan.BrowserHeaders() {
+		for k, v := range scanner.BrowserHeaders() {
 			req.Header.Set(k, v)
 		}
 		resp, err := client.Do(req)

@@ -5,7 +5,7 @@ import (
 
 	"geoblock/internal/blockpage"
 	"geoblock/internal/consistency"
-	"geoblock/internal/lumscan"
+	"geoblock/internal/scanner"
 	"geoblock/internal/stats"
 )
 
@@ -62,7 +62,7 @@ func (s *Study) RunConsistencyExperiment(r *Top10KResult, population, draws int,
 		countryIdx[string(cc)] = int16(i)
 	}
 
-	tasks := make([]lumscan.Task, 0, len(r.Candidates))
+	tasks := make([]scanner.Task, 0, len(r.Candidates))
 	kinds := make(map[pairKey]struct{}, len(r.Candidates))
 	for _, f := range r.Candidates {
 		key := pairKey{domainIdx[f.DomainName], countryIdx[string(f.Country)]}
@@ -70,7 +70,7 @@ func (s *Study) RunConsistencyExperiment(r *Top10KResult, population, draws int,
 			continue
 		}
 		kinds[key] = struct{}{}
-		tasks = append(tasks, lumscan.Task{Domain: key.domain, Country: key.country})
+		tasks = append(tasks, scanner.Task{Domain: key.domain, Country: key.country})
 	}
 	sort.Slice(tasks, func(i, j int) bool {
 		if tasks[i].Country != tasks[j].Country {
@@ -79,7 +79,7 @@ func (s *Study) RunConsistencyExperiment(r *Top10KResult, population, draws int,
 		return tasks[i].Domain < tasks[j].Domain
 	})
 
-	scanCfg := lumscan.DefaultConfig()
+	scanCfg := scanner.DefaultConfig()
 	scanCfg.Samples = population
 	scanCfg.Phase = "consistency-100"
 	// The experiment measures "the rate of other failures, for example
@@ -93,7 +93,7 @@ func (s *Study) RunConsistencyExperiment(r *Top10KResult, population, draws int,
 	// sample streams into its bit and the body is gone immediately.
 	perPair := map[pairKey][]bool{}
 	s.noteScanErr("figure1", s.scanStream("figure1", scanCfg, r.SafeDomains, r.Countries, tasks,
-		lumscan.SinkFunc(func(sm lumscan.Sample) {
+		scanner.SinkFunc(func(sm scanner.Sample) {
 			key := pairKey{sm.Domain, sm.Country}
 			if _, tracked := kinds[key]; !tracked {
 				return

@@ -17,9 +17,9 @@ import (
 	"geoblock/internal/consistency"
 	"geoblock/internal/fingerprint"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/proxy"
 	"geoblock/internal/runstore"
+	"geoblock/internal/scanner"
 	"geoblock/internal/stats"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
@@ -61,7 +61,7 @@ type Study struct {
 	// residential scan phase — the distributed fabric's coordinator
 	// plugs in here. VPS phases always run in-process (the datacenter
 	// fleet is cheap and local). The runner composes with Store: it runs
-	// under the journal exactly where lumscan.ScanStream would.
+	// under the journal exactly where scanner.Run would.
 	Runner ScanRunner
 	// VerdictOut, when non-nil, receives the verdict snapshot compiled
 	// from each completed study's confirmed findings — the serving
@@ -84,8 +84,8 @@ type Study struct {
 
 // ScanRunner executes one residential scan phase. Its contract is the
 // engine's: deliver samples to sink in canonical order, byte-identical
-// to lumscan.ScanStream over the same inputs.
-type ScanRunner func(ctx context.Context, domains []string, countries []geo.CountryCode, tasks []lumscan.Task, cfg lumscan.Config, sink lumscan.Sink) error
+// to scanner.Run over the same inputs.
+type ScanRunner func(ctx context.Context, domains []string, countries []geo.CountryCode, tasks []scanner.Task, cfg scanner.Config, sink scanner.Sink) error
 
 // New assembles a study over w with a fresh proxy mesh.
 func New(w *worldgen.World) *Study {
@@ -106,8 +106,8 @@ func (s *Study) phase(name string) *telemetry.Span {
 
 // scanConfig is DefaultConfig wired to the study's registry, tracer,
 // and the enclosing phase span.
-func (s *Study) scanConfig(phase string, span *telemetry.Span) lumscan.Config {
-	cfg := lumscan.DefaultConfig()
+func (s *Study) scanConfig(phase string, span *telemetry.Span) scanner.Config {
+	cfg := scanner.DefaultConfig()
 	cfg.Phase = phase
 	cfg.Metrics = s.Metrics
 	cfg.Span = span
@@ -202,7 +202,7 @@ func (s *Study) emitVerdicts(domains []string, countries []geo.CountryCode, find
 // logCoverage reports a degraded scan phase: which countries were lost
 // and how far short of the requested coverage the run fell. A full run
 // stays quiet.
-func (s *Study) logCoverage(phase string, outages []lumscan.Outage, cov lumscan.Coverage) {
+func (s *Study) logCoverage(phase string, outages []scanner.Outage, cov scanner.Coverage) {
 	if len(outages) == 0 {
 		return
 	}
@@ -262,8 +262,8 @@ func (s *Study) measurableCountries() []geo.CountryCode {
 // its body classifies to the pair's kind. Each sample is digested and
 // dropped — bodies included — so a resample pass streamed through this
 // sink never materializes a Result.
-func (s *Study) pairRateSink(kinds map[pairKey]blockpage.Kind, into map[pairKey]*candidate) lumscan.SinkFunc {
-	return func(sm lumscan.Sample) {
+func (s *Study) pairRateSink(kinds map[pairKey]blockpage.Kind, into map[pairKey]*candidate) scanner.SinkFunc {
+	return func(sm scanner.Sample) {
 		key := pairKey{sm.Domain, sm.Country}
 		kind, tracked := kinds[key]
 		if !tracked {
@@ -287,7 +287,7 @@ func (s *Study) pairRateSink(kinds map[pairKey]blockpage.Kind, into map[pairKey]
 // collectPairRates folds an already-materialized scan result through
 // pairRateSink (for the initial snapshot, which later stages also
 // need in full).
-func (s *Study) collectPairRates(res *lumscan.Result, kinds map[pairKey]blockpage.Kind, into map[pairKey]*candidate) {
+func (s *Study) collectPairRates(res *scanner.Result, kinds map[pairKey]blockpage.Kind, into map[pairKey]*candidate) {
 	sink := s.pairRateSink(kinds, into)
 	for i := range res.Samples {
 		sink(res.Samples[i])
@@ -321,11 +321,11 @@ func (s *Study) rankCountriesByBlocking(safeDomains []string, safeRanks []int, c
 
 	cfg := s.scanConfig("country-rank", span)
 	cfg.Samples = samples
-	cfg.Bodies = lumscan.BodyNone
+	cfg.Bodies = scanner.BodyNone
 	counts := make([]int, len(countries))
 	s.noteScanErr("country-rank", s.scanStream("country-rank", cfg, auxDomains, countries,
-		lumscan.CrossProduct(len(auxDomains), len(countries)),
-		lumscan.SinkFunc(func(sm lumscan.Sample) {
+		scanner.CrossProduct(len(auxDomains), len(countries)),
+		scanner.SinkFunc(func(sm scanner.Sample) {
 			if sm.OK() && sm.Status == 403 {
 				counts[sm.Country]++
 			}
@@ -371,7 +371,7 @@ func (s *Study) phaseKey(name string) string {
 // sampling parameter — never Concurrency, which a resumed run is free
 // to change. A journal directory reused across different study
 // configurations fails this check instead of splicing foreign samples.
-func (s *Study) scanFingerprint(key string, cfg lumscan.Config, domains, groups, tasks int) uint64 {
+func (s *Study) scanFingerprint(key string, cfg scanner.Config, domains, groups, tasks int) uint64 {
 	h := fnv("geoblock-scan")
 	h = stats.Mix64(h ^ s.World.Cfg.Seed)
 	h = stats.Mix64(h ^ fnv(key))
@@ -397,7 +397,7 @@ func fnv(s string) uint64 {
 // scan records, unique per invocation because key is — and returns the
 // closer that records the phase's "pipeline/scan" event. A no-op
 // closure when the study is not tracing.
-func (s *Study) traceScan(key string, cfg *lumscan.Config) func(error) {
+func (s *Study) traceScan(key string, cfg *scanner.Config) func(error) {
 	if s.Trace == nil {
 		return func(error) {}
 	}
@@ -422,51 +422,46 @@ func (s *Study) traceScan(key string, cfg *lumscan.Config) func(error) {
 	}
 }
 
-// scanStream is the study's one residential-scan entry point: it runs
-// the phase directly when no journal is attached, and through
-// Store.Scan — journaling live work, replaying committed work —
-// otherwise. name keys the journal; it is usually cfg.Phase.
-func (s *Study) scanStream(name string, cfg lumscan.Config, domains []string, countries []geo.CountryCode, tasks []lumscan.Task, sink lumscan.Sink) error {
-	key := s.phaseKey(name)
-	traceDone := s.traceScan(key, &cfg)
-	run := func(cfg lumscan.Config, sink lumscan.Sink) error {
+// scanStream is the study's one residential-scan entry point; name
+// keys the journal and is usually cfg.Phase.
+func (s *Study) scanStream(name string, cfg scanner.Config, domains []string, countries []geo.CountryCode, tasks []scanner.Task, sink scanner.Sink) error {
+	return s.journaled(name, cfg, len(domains), len(countries), len(tasks), sink, func(cfg scanner.Config, sink scanner.Sink) error {
 		if s.Runner != nil {
 			return s.Runner(s.ctx(), domains, countries, tasks, cfg, sink)
 		}
-		return lumscan.ScanStream(s.ctx(), s.Net, domains, countries, tasks, cfg, sink)
-	}
-	var err error
-	if s.Store == nil {
-		err = run(cfg, sink)
-	} else {
-		err = s.Store.Scan(runstore.Scan{
-			Key:         key,
-			Fingerprint: s.scanFingerprint(key, cfg, len(domains), len(countries), len(tasks)),
-			Cfg:         cfg,
-			Sink:        sink,
-			Run:         run,
-		})
-	}
-	traceDone(err)
-	return err
+		return scanner.Run(s.ctx(), s.Net, domains, countries, tasks, cfg, sink)
+	})
 }
 
 // scanVPSStream is scanStream for the datacenter engine.
-func (s *Study) scanVPSStream(name string, cfg lumscan.Config, fleet []*proxy.VPS, domains []string, tasks []lumscan.Task, sink lumscan.Sink) error {
+func (s *Study) scanVPSStream(name string, cfg scanner.Config, fleet []*proxy.VPS, domains []string, tasks []scanner.Task, sink scanner.Sink) error {
+	return s.journaled(name, cfg, len(domains), len(fleet), len(tasks), sink, func(cfg scanner.Config, sink scanner.Sink) error {
+		return scanner.RunVPS(s.ctx(), fleet, domains, tasks, cfg, sink)
+	})
+}
+
+// journaled runs one scan phase directly when no journal is attached,
+// and through Store.Scan — journaling live work, replaying committed
+// work — otherwise. A cancelled study opens no new journaled phase:
+// its inputs derive from the cancelled phase's partial output, so
+// journaling it would bind the phase key to a fingerprint the resumed
+// study cannot match.
+func (s *Study) journaled(name string, cfg scanner.Config, nDomains, nVantages, nTasks int, sink scanner.Sink, run func(scanner.Config, scanner.Sink) error) error {
 	key := s.phaseKey(name)
 	traceDone := s.traceScan(key, &cfg)
 	var err error
-	if s.Store == nil {
-		err = lumscan.ScanVPSStream(s.ctx(), fleet, domains, tasks, cfg, sink)
-	} else {
+	switch {
+	case s.Store == nil:
+		err = run(cfg, sink)
+	case s.ctx().Err() != nil:
+		err = s.ctx().Err()
+	default:
 		err = s.Store.Scan(runstore.Scan{
 			Key:         key,
-			Fingerprint: s.scanFingerprint(key, cfg, len(domains), len(fleet), len(tasks)),
+			Fingerprint: s.scanFingerprint(key, cfg, nDomains, nVantages, nTasks),
 			Cfg:         cfg,
 			Sink:        sink,
-			Run: func(cfg lumscan.Config, sink lumscan.Sink) error {
-				return lumscan.ScanVPSStream(s.ctx(), fleet, domains, tasks, cfg, sink)
-			},
+			Run:         run,
 		})
 	}
 	traceDone(err)

@@ -6,7 +6,7 @@ import (
 	"geoblock/internal/blockpage"
 	"geoblock/internal/fingerprint"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
+	"geoblock/internal/scanner"
 )
 
 func TestCollectPairRates(t *testing.T) {
@@ -18,16 +18,16 @@ func TestCollectPairRates(t *testing.T) {
 		Domain: "x.example", CountryName: "Iran",
 	})
 
-	res := &lumscan.Result{
+	res := &scanner.Result{
 		Domains:   []string{"x.example"},
 		Countries: []geo.CountryCode{"IR"},
-		Samples: []lumscan.Sample{
+		Samples: []scanner.Sample{
 			// Three responses: two matching the tracked kind, one an
 			// origin page (body dropped), one error (excluded).
 			{Domain: 0, Country: 0, Status: 403, Body: cfBody},
 			{Domain: 0, Country: 0, Status: 403, Body: cfBody},
 			{Domain: 0, Country: 0, Status: 200},
-			{Domain: 0, Country: 0, Err: lumscan.ErrTimeout},
+			{Domain: 0, Country: 0, Err: scanner.ErrTimeout},
 			// A different block page does NOT count toward this pair's
 			// kind.
 			{Domain: 0, Country: 0, Status: 403, Body: gaeBody},
@@ -51,10 +51,10 @@ func TestCollectPairRates(t *testing.T) {
 
 func TestCollectPairRatesIgnoresUntracked(t *testing.T) {
 	s := &Study{Classifier: fingerprint.NewClassifier()}
-	res := &lumscan.Result{
+	res := &scanner.Result{
 		Domains:   []string{"x.example", "y.example"},
 		Countries: []geo.CountryCode{"IR"},
-		Samples: []lumscan.Sample{
+		Samples: []scanner.Sample{
 			{Domain: 1, Country: 0, Status: 200},
 		},
 	}

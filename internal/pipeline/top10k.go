@@ -8,8 +8,8 @@ import (
 	"geoblock/internal/cluster"
 	"geoblock/internal/consistency"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/outlier"
+	"geoblock/internal/scanner"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/textfeat"
 )
@@ -74,7 +74,7 @@ type Top10KResult struct {
 
 	// Initial snapshot.
 	Countries       []geo.CountryCode
-	Initial         *lumscan.Result
+	Initial         *scanner.Result
 	NeverResponded  int
 	LuminatiBlocked int
 
@@ -83,8 +83,8 @@ type Top10KResult struct {
 	// coverage attained vs requested. A degraded run keeps its typed
 	// outage records here instead of leaking sentinel values into the
 	// table math.
-	Outages  []lumscan.Outage
-	Coverage lumscan.Coverage
+	Outages  []scanner.Outage
+	Coverage scanner.Coverage
 
 	// Outlier extraction (§4.1.2).
 	RepCountries   []geo.CountryCode
@@ -140,10 +140,10 @@ func (s *Study) RunTop10K(cfg Top10KConfig) *Top10KResult {
 	scanCfg := s.scanConfig("top10k-initial", sp)
 	scanCfg.Samples = cfg.InitialSamples
 	scanCfg.Concurrency = cfg.Concurrency
-	var col lumscan.Collect
+	var col scanner.Collect
 	initErr := s.scanStream("top10k-initial", scanCfg, r.SafeDomains, r.Countries,
-		lumscan.CrossProduct(len(r.SafeDomains), len(r.Countries)), &col)
-	r.Initial = &lumscan.Result{Domains: r.SafeDomains, Countries: r.Countries,
+		scanner.CrossProduct(len(r.SafeDomains), len(r.Countries)), &col)
+	r.Initial = &scanner.Result{Domains: r.SafeDomains, Countries: r.Countries,
 		Samples: col.Samples, Outages: col.Outages, Coverage: col.Coverage}
 	s.noteScanErr("top10k-initial", initErr)
 	r.Outages, r.Coverage = r.Initial.Outages, r.Initial.Coverage
@@ -208,7 +208,7 @@ func (s *Study) populationDiagnostics(r *Top10KResult) {
 		if sm.OK() {
 			okByDomain[sm.Domain] = true
 		}
-		if sm.Err == lumscan.ErrLuminati {
+		if sm.Err == scanner.ErrLuminati {
 			lumByDomain[sm.Domain] = true
 		}
 	}
@@ -264,7 +264,7 @@ func (s *Study) extractOutliers(r *Top10KResult) {
 		}
 		body := sm.Body
 		if body == "" {
-			replayed, _, err := lumscan.Replay(s.World, r.SafeDomains[sm.Domain], sm.ExitIP, sm.Seed, lumscan.BrowserHeaders(), 10)
+			replayed, _, err := scanner.Replay(s.ctx(), s.World, r.SafeDomains[sm.Domain], sm.ExitIP, sm.Seed, scanner.BrowserHeaders(), 10)
 			if err != nil {
 				continue
 			}
@@ -452,9 +452,9 @@ func (s *Study) resampleAndConfirm(r *Top10KResult, sp *telemetry.Span) {
 	// Time passes between the snapshot and the confirmation pass.
 	s.World.AdvanceClock(1)
 
-	tasks := make([]lumscan.Task, 0, len(kinds))
+	tasks := make([]scanner.Task, 0, len(kinds))
 	for key := range kinds {
-		tasks = append(tasks, lumscan.Task{Domain: key.domain, Country: key.country})
+		tasks = append(tasks, scanner.Task{Domain: key.domain, Country: key.country})
 	}
 	sort.Slice(tasks, func(i, j int) bool {
 		if tasks[i].Country != tasks[j].Country {

@@ -8,7 +8,7 @@ import (
 	"geoblock/internal/cdnid"
 	"geoblock/internal/consistency"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
+	"geoblock/internal/scanner"
 	"geoblock/internal/stats"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/worldgen"
@@ -71,13 +71,13 @@ type Top1MResult struct {
 
 	// Snapshot (§5.1.3).
 	Countries       []geo.CountryCode
-	Initial         *lumscan.Result
+	Initial         *scanner.Result
 	NeverResponded  int
 	LuminatiBlocked int
 
 	// Degradation accounting for the snapshot (see Top10KResult).
-	Outages  []lumscan.Outage
-	Coverage lumscan.Coverage
+	Outages  []scanner.Outage
+	Coverage scanner.Coverage
 
 	// Explicit geoblockers (§5.2.1).
 	CandidatePairs    int
@@ -119,10 +119,10 @@ func (s *Study) RunTop1M(cfg Top1MConfig) *Top1MResult {
 	scanCfg := s.scanConfig("top1m-initial", sp)
 	scanCfg.Samples = cfg.InitialSamples
 	scanCfg.Concurrency = cfg.Concurrency
-	var col lumscan.Collect
+	var col scanner.Collect
 	initErr := s.scanStream("top1m-initial", scanCfg, r.TestDomains, r.Countries,
-		lumscan.CrossProduct(len(r.TestDomains), len(r.Countries)), &col)
-	r.Initial = &lumscan.Result{Domains: r.TestDomains, Countries: r.Countries,
+		scanner.CrossProduct(len(r.TestDomains), len(r.Countries)), &col)
+	r.Initial = &scanner.Result{Domains: r.TestDomains, Countries: r.Countries,
 		Samples: col.Samples, Outages: col.Outages, Coverage: col.Coverage}
 	s.noteScanErr("top1m-initial", initErr)
 	r.Outages, r.Coverage = r.Initial.Outages, r.Initial.Coverage
@@ -204,7 +204,7 @@ func (s *Study) diagnostics1M(r *Top1MResult) {
 		if sm.OK() {
 			okByDomain[sm.Domain] = true
 		}
-		if sm.Err == lumscan.ErrLuminati {
+		if sm.Err == scanner.ErrLuminati {
 			lumByDomain[sm.Domain] = true
 		}
 	}
@@ -237,9 +237,9 @@ func (s *Study) confirmExplicit1M(r *Top1MResult, sp *telemetry.Span) {
 	}
 	r.CandidatePairs = len(kinds)
 
-	tasks := make([]lumscan.Task, 0, len(kinds))
+	tasks := make([]scanner.Task, 0, len(kinds))
 	for key := range kinds {
-		tasks = append(tasks, lumscan.Task{Domain: key.domain, Country: key.country})
+		tasks = append(tasks, scanner.Task{Domain: key.domain, Country: key.country})
 	}
 	sort.Slice(tasks, func(i, j int) bool {
 		if tasks[i].Country != tasks[j].Country {
@@ -325,10 +325,10 @@ func (s *Study) analyzeNonExplicit(r *Top1MResult, sp *telemetry.Span) {
 	}
 	sort.Slice(domains, func(i, j int) bool { return domains[i] < domains[j] })
 
-	tasks := make([]lumscan.Task, 0, len(domains)*len(r.Countries))
+	tasks := make([]scanner.Task, 0, len(domains)*len(r.Countries))
 	for ci := range r.Countries {
 		for _, d := range domains {
-			tasks = append(tasks, lumscan.Task{Domain: d, Country: int16(ci)})
+			tasks = append(tasks, scanner.Task{Domain: d, Country: int16(ci)})
 		}
 	}
 	scanCfg := s.scanConfig("top1m-nonexplicit", sp)
@@ -340,7 +340,7 @@ func (s *Study) analyzeNonExplicit(r *Top1MResult, sp *telemetry.Span) {
 	// per-country rates and drops each body the moment it classifies.
 	perDomain := map[int32]map[string]consistency.Rate{}
 	s.noteScanErr("top1m-nonexplicit", s.scanStream("top1m-nonexplicit", scanCfg, r.TestDomains, r.Countries, tasks,
-		lumscan.SinkFunc(func(sm lumscan.Sample) {
+		scanner.SinkFunc(func(sm scanner.Sample) {
 			kind, tracked := ambiguous[sm.Domain]
 			if !tracked || !sm.OK() {
 				return

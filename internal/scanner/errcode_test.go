@@ -13,7 +13,7 @@ func TestErrCodeStringsAreExhaustive(t *testing.T) {
 	seen := map[string]ErrCode{}
 	for c := ErrCode(0); c < ErrCode(errCodeCount); c++ {
 		s := c.String()
-		if s == "unknown" {
+		if s == "unknown" || s == "" {
 			t.Errorf("ErrCode(%d) has no String label; extend the switch and errCodeCount together", c)
 		}
 		if prev, dup := seen[s]; dup {

@@ -4,11 +4,13 @@ package scanner
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 
 	"geoblock/internal/geo"
 	"geoblock/internal/vnet"
+	"geoblock/internal/worldgen"
 )
 
 var errRedirectLimit = errors.New("scanner: redirect limit reached")
@@ -112,6 +114,20 @@ func (f *fetcher) fetch(domain string, seed uint64, t Task, attempt uint8, exit 
 		s.BodyLen = int32(len(body))
 	}
 	return s
+}
+
+// Replay re-fetches the exact body of a previously collected sample:
+// the response is a pure function of (domain, exit address, seed), so
+// the pipeline can cluster outlier bodies without having stored them.
+// It is one fetcher attempt straight from the exit's stack, keeping
+// the body whatever its status.
+func Replay(ctx context.Context, w *worldgen.World, domain string, exit geo.IP, seed uint64, headers map[string]string, maxRedirects int) (string, int, error) {
+	cfg := Config{Headers: headers, MaxRedirects: maxRedirects, KeepBody: BodyAll.keep()}
+	s := newFetcher(ctx, vnet.NewStack(w, exit), cfg).fetch(domain, seed, Task{}, 0, exit)
+	if s.Err != ErrNone {
+		return "", 0, fmt.Errorf("scanner: replay %s: %s", domain, s.Err)
+	}
+	return s.Body, int(s.Status), nil
 }
 
 // classifyError maps transport errors onto the sample taxonomy. The

@@ -3,12 +3,13 @@
 // out-of-order unit completions back into the engine's canonical-order
 // output stream.
 //
-// scanner.Run is the single-process composition of these pieces; the
-// distributed fabric (internal/fabric) is the multi-process one. Both
-// produce byte-identical output because they share the shard
-// boundaries, the sticky-session slots, the reorder frontier, and the
-// outage accounting — a unit executes identically no matter which
-// process runs it, or how many times.
+// scanner.Run is the single-process composition of these pieces —
+// NewPlan, NewAssembly, and the work-stealing pool — and the distributed
+// fabric (internal/fabric) is the multi-process one. Both produce
+// byte-identical output because they share the shard boundaries, the
+// sticky-session slots, the per-unit executor, the reorder frontier,
+// and the outage accounting — a unit executes identically no matter
+// which process runs it, or how many times.
 package scanner
 
 import (
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
@@ -58,6 +60,9 @@ type UnitResult struct {
 	// shipped back in fabric completions and appended at the assembly's
 	// canonical emission point, same as an in-process shard's.
 	Trace []trace.Event
+	// Elapsed is the unit's execution time on its executor's registry
+	// clock; the assembly credits it to the unit's country span.
+	Elapsed time.Duration
 }
 
 // Plan is the deterministic decomposition of one scan into work units.
@@ -73,23 +78,11 @@ type Plan struct {
 	shards    []*shard
 }
 
-// buildCountryShards is the shared shard construction: country-major
-// grouping, deterministic chunking, and per-chunk session slots. Run
-// and NewPlan must stay on this one code path — the shard set is the
-// determinism anchor.
-func buildCountryShards(countries []geo.CountryCode, tasks []Task, cfg Config) []*shard {
-	byCountry := make([][]Task, len(countries))
-	for _, t := range tasks {
-		byCountry[t.Country] = append(byCountry[t.Country], t)
-	}
-	return buildShards(byCountry, cfg.ShardSize, func(group int16, index int) uint64 {
-		return shardSlot(string(countries[group]), cfg.Phase, index)
-	})
-}
-
-// NewPlan decomposes one scan into its canonical work units. cfg is
-// normalized exactly as Run normalizes it, so a Plan built from a wire
-// config and one built in-process agree.
+// NewPlan decomposes one scan into its canonical work units: country-
+// major grouping, deterministic chunking, and per-chunk session slots —
+// the determinism anchor Run and the fabric share. cfg is normalized
+// once here, so a Plan built from a wire config and one built
+// in-process agree.
 func NewPlan(domains []string, countries []geo.CountryCode, tasks []Task, cfg Config) *Plan {
 	cfg = cfg.withDefaults()
 	return &Plan{
@@ -97,7 +90,9 @@ func NewPlan(domains []string, countries []geo.CountryCode, tasks []Task, cfg Co
 		countries: countries,
 		cfg:       cfg,
 		pol:       cfg.retryPolicy(),
-		shards:    buildCountryShards(countries, tasks, cfg),
+		shards: buildShards(tasks, len(countries), cfg.ShardSize, func(group int16, index int) uint64 {
+			return shardSlot(string(countries[group]), cfg.Phase, index)
+		}),
 	}
 }
 
@@ -168,35 +163,63 @@ func (p *Plan) Fingerprint() uint64 {
 	return h
 }
 
+// shardScan runs one shard's tasks through a vantage point, staging
+// its trace events in tb, and reports why (if at all) they were lost:
+// the residential mesh's session loop, or the VPS fleet's bare fetches.
+type shardScan func(ctx context.Context, sh *shard, cfg Config, tb *trace.Buffer) ([]Sample, OutageReason)
+
+// meshScan is the residential-mesh shardScan over net.
+func (p *Plan) meshScan(net *proxy.Network) shardScan {
+	return func(ctx context.Context, sh *shard, cfg Config, tb *trace.Buffer) ([]Sample, OutageReason) {
+		return scanShard(ctx, net, p.domains, p.countries, sh, cfg, p.pol, tb)
+	}
+}
+
+// execute is the one per-unit path, in process and on the fabric: it
+// runs the seq-th unit through scan, recording the unit's session and
+// fetch metrics into reg (the plan's registry, or a shard-local staging
+// one) and timing the unit on reg's clock. Execution never mutates the
+// plan. A cancelled context returns ctx.Err() and no result — a partial
+// shard must never be reported as complete.
+func (p *Plan) execute(ctx context.Context, seq int, reg *telemetry.Registry, scan shardScan) (UnitResult, error) {
+	cfg := p.cfg
+	cfg.Metrics = reg
+	start := reg.Now()
+	tb := unitBuffer(ScanTraceCtx(p.cfg), seq, p.cfg)
+	out, lost := scan(ctx, p.shards[seq], cfg, tb)
+	if err := ctx.Err(); err != nil {
+		return UnitResult{}, err
+	}
+	return UnitResult{Samples: out, Lost: lost, Trace: tb.Events(), Elapsed: reg.Now().Sub(start)}, nil
+}
+
 // ExecuteUnit runs one unit through the session and fetcher layers
 // against net, staging its metrics in a fresh shard-local registry.
-// Execution never mutates the plan, so a unit can run any number of
-// times (a re-issued lease after a worker death, say) with identical
-// results. A cancelled context returns ctx.Err() and no result — a
-// partial shard must never be reported as complete.
+// A unit can run any number of times (a re-issued lease after a worker
+// death, say) with identical results. A cancelled context returns
+// ctx.Err() and no result.
 func (p *Plan) ExecuteUnit(ctx context.Context, net *proxy.Network, seq int) (UnitResult, error) {
 	if seq < 0 || seq >= len(p.shards) {
 		return UnitResult{}, fmt.Errorf("scanner: unit %d outside plan of %d units", seq, len(p.shards))
 	}
-	src := p.shards[seq]
-	sh := &shard{seq: src.seq, group: src.group, index: src.index, slot: src.slot, tasks: src.tasks}
 	staging := telemetry.NewWithClock(p.cfg.Metrics.Clock())
-	scfg := p.cfg
-	scfg.Metrics = staging
-	tb := unitBuffer(ScanTraceCtx(p.cfg), seq, p.cfg)
-	out := scanShard(ctx, net, p.domains, p.countries, sh, scfg, p.pol, tb)
-	if err := ctx.Err(); err != nil {
+	res, err := p.execute(ctx, seq, staging, p.meshScan(net))
+	if err != nil {
 		return UnitResult{}, err
 	}
-	return UnitResult{Samples: out, Lost: sh.lost, Metrics: staging.Snapshot(), Trace: tb.Events()}, nil
+	res.Metrics = staging.Snapshot()
+	return res, nil
 }
 
 // Assembly reassembles unit completions — arriving in any order, from
 // any number of executors — into the engine's canonical-order sink
-// stream, with the identical span, counter, and outage accounting an
-// in-process Run produces. Completions are accepted under an internal
-// lock; the sink itself still sees strictly sequential canonical-order
-// delivery, exactly as the engine's determinism contract promises.
+// stream. It is the one place that credits the resumed prefix, opens
+// and tallies the country spans, counts scheduled and done shards, and
+// runs the outage and coverage tail, for the in-process pool (Run,
+// RunVPS) and the fabric alike. Completions are accepted under an
+// internal lock; the sink itself still sees strictly sequential
+// canonical-order delivery, exactly as the engine's determinism
+// contract promises.
 type Assembly struct {
 	mu       sync.Mutex
 	plan     *Plan
@@ -216,9 +239,18 @@ func NewAssembly(p *Plan, sink Sink) (*Assembly, error) {
 		return nil, err
 	}
 	sp := startScanSpan(p.cfg)
-	creditSkipped(p.cfg, sp, p.shards[:skip], func(sh *shard) string {
-		return string(p.countries[sh.group])
-	})
+	// Restore the per-shard accounting a live run of the skipped prefix
+	// would have produced: one country-span activation with its outcome
+	// per shard, plus the shards-done counter. The prefix's samples and
+	// session/fetch metrics are restored separately by the journal's
+	// replay (see internal/runstore), keeping the deterministic
+	// telemetry view identical to an uninterrupted run.
+	for _, sh := range p.shards[:skip] {
+		sp.Record(p.country(sh), sh.lost.outcome(), 0)
+	}
+	if skip > 0 {
+		p.cfg.Metrics.Counter(MetShardsDone).Add(int64(skip))
+	}
 	if len(p.shards) > 0 {
 		p.cfg.Metrics.Counter(MetShardsScheduled).Add(int64(len(p.shards)))
 	}
@@ -251,29 +283,65 @@ func (a *Assembly) Complete(seq int, res UnitResult) error {
 	if a.em.completed(seq) {
 		return fmt.Errorf("scanner: duplicate completion of unit %d", seq)
 	}
-	sh := a.plan.shards[seq]
-	sh.country = string(a.plan.countries[sh.group])
-	sh.out = res.Samples
-	sh.lost = res.Lost
-	sh.events = res.Trace
+	var staging *telemetry.Registry
 	if res.Metrics != nil && a.plan.cfg.Metrics != nil {
 		// Rehydrate the unit's staged metrics into a shard-local registry
 		// so the emitter's merge-at-emission and ShardDone.Metrics bytes
 		// match an in-process run exactly.
-		st := telemetry.NewWithClock(a.plan.cfg.Metrics.Clock())
-		st.Merge(res.Metrics)
-		sh.staging = st
+		staging = telemetry.NewWithClock(a.plan.cfg.Metrics.Clock())
+		staging.Merge(res.Metrics)
 	}
-	csp := a.sp.StartSpan(sh.country)
-	if sh.lost == OutageNone {
-		csp.Outcome("ok")
-	} else {
-		csp.Outcome(sh.lost.String())
-	}
-	csp.End()
+	a.fold(seq, res, staging)
+	return nil
+}
+
+// fold credits one executed unit — its country-span activation, timed
+// by the unit's own execution, and the shards-done counter — and hands
+// it to the reorder frontier. Activations merge by name, so a country
+// node's count reads "shards run" and its outcome tally aggregates the
+// per-shard fates. staging is the unit's shard-local registry, nil when
+// nothing was staged.
+func (a *Assembly) fold(seq int, res UnitResult, staging *telemetry.Registry) {
+	sh := a.plan.shards[seq]
+	sh.country = a.plan.country(sh)
+	sh.out, sh.lost, sh.events, sh.staging = res.Samples, res.Lost, res.Trace, staging
+	a.sp.Record(sh.country, sh.lost.outcome(), res.Elapsed)
 	a.plan.cfg.Metrics.Counter(MetShardsDone).Add(1)
 	a.em.complete(sh)
-	return nil
+}
+
+// run executes the pending units on the in-process work-stealing pool
+// and folds each as it finishes, then closes the assembly: Finish's
+// tail (with the outage and coverage accounting when outages is set)
+// after a full run, Abort after a cancelled one, whose emission stops
+// at the first shard boundary after ctx is cancelled. A unit's metrics are
+// staged in a shard-local registry only when the sink is a ShardSink
+// that needs each shard's own contribution; otherwise they record
+// straight into the plan's registry.
+func (a *Assembly) run(ctx context.Context, scan shardScan, outages bool) error {
+	p := a.plan
+	_, journaling := a.sink.(ShardSink)
+	stage := journaling && p.cfg.Metrics != nil
+	a.em.stop = ctx.Done()
+	err := schedule(ctx, a.Pending(), p.cfg.Concurrency, func(ctx context.Context, seq int) {
+		reg := p.cfg.Metrics
+		if stage {
+			reg = telemetry.NewWithClock(reg.Clock())
+		}
+		res, err := p.execute(ctx, seq, reg, scan)
+		if err != nil {
+			return
+		}
+		if !stage {
+			reg = nil
+		}
+		a.fold(seq, res, reg)
+	}, a.em)
+	if err != nil {
+		a.Abort()
+		return err
+	}
+	return a.finish(outages)
 }
 
 // Done reports whether every unit has been emitted.
@@ -284,9 +352,13 @@ func (a *Assembly) Done() bool {
 }
 
 // Finish closes the scan span and runs the end-of-run outage and
-// coverage accounting, mirroring Run's tail exactly. It errors if units
-// are still outstanding.
-func (a *Assembly) Finish() error {
+// coverage accounting. It errors if units are still outstanding.
+func (a *Assembly) Finish() error { return a.finish(true) }
+
+// finish is Finish, with the outage and coverage accounting only when
+// outages is set: a VPS scan has no session layer, so its units are
+// never lost and it reports no outages or coverage.
+func (a *Assembly) finish(outages bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.finished {
@@ -298,24 +370,24 @@ func (a *Assembly) Finish() error {
 	a.finished = true
 	a.sp.End()
 	cfg := a.plan.cfg
-	os, isOutageSink := a.sink.(OutageSink)
-	if isOutageSink || cfg.Metrics != nil || cfg.Trace != nil {
-		outages, cov := accountOutages(a.plan.shards, a.plan.countries)
-		countOutages(cfg.Metrics, outages, cov)
-		recordScanTail(cfg.Trace, ScanTraceCtx(cfg), cfg.Phase, outages, len(a.plan.shards))
-		if isOutageSink {
-			for _, o := range outages {
-				os.EmitOutage(o)
-			}
-			os.EmitCoverage(cov)
+	if !outages {
+		recordScanTail(cfg.Trace, ScanTraceCtx(cfg), cfg.Phase, nil, len(a.plan.shards))
+		return nil
+	}
+	lost, cov := accountOutages(a.plan.shards, a.plan.countries)
+	countOutages(cfg.Metrics, lost, cov)
+	recordScanTail(cfg.Trace, ScanTraceCtx(cfg), cfg.Phase, lost, len(a.plan.shards))
+	if os, ok := a.sink.(OutageSink); ok {
+		for _, o := range lost {
+			os.EmitOutage(o)
 		}
+		os.EmitCoverage(cov)
 	}
 	return nil
 }
 
 // Abort closes the scan span without the end-of-run accounting — the
-// cancellation path, mirroring Run's early return after a cancelled
-// schedule.
+// cancellation path.
 func (a *Assembly) Abort() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -324,6 +396,110 @@ func (a *Assembly) Abort() {
 	}
 	a.finished = true
 	a.sp.End()
+}
+
+// country names a shard's group: its country code, or the VPS's.
+func (p *Plan) country(sh *shard) string { return string(p.countries[sh.group]) }
+
+// startScanSpan opens the engine's "scan/<phase>" span, nesting under
+// cfg.Span when the pipeline provided its phase span as parent.
+func startScanSpan(cfg Config) *telemetry.Span {
+	name := "scan/" + cfg.Phase
+	if cfg.Span != nil {
+		return cfg.Span.StartSpan(name)
+	}
+	return cfg.Metrics.StartSpan(name)
+}
+
+// resumePrefix validates cfg.Resume against the freshly built shard
+// set and stamps the restored loss records onto the skipped prefix, so
+// the end-of-run outage and coverage accounting — which walks all
+// shards — reproduces the uninterrupted run's records exactly.
+func resumePrefix(cfg Config, shards []*shard) (int, error) {
+	r := cfg.Resume
+	if r == nil {
+		return 0, nil
+	}
+	if r.Shards < 0 || r.Shards > len(shards) {
+		return 0, fmt.Errorf("scanner: resume prefix of %d shards outside 0..%d", r.Shards, len(shards))
+	}
+	if len(r.Lost) != r.Shards {
+		return 0, fmt.Errorf("scanner: resume carries %d loss records for %d shards", len(r.Lost), r.Shards)
+	}
+	for i := 0; i < r.Shards; i++ {
+		shards[i].lost = r.Lost[i]
+	}
+	return r.Shards, nil
+}
+
+// countOutages mirrors the outage accounting into the registry.
+func countOutages(reg *telemetry.Registry, outages []Outage, cov Coverage) {
+	if reg == nil {
+		return
+	}
+	for _, o := range outages {
+		reg.Counter(telemetry.Label(MetOutages, "reason", o.Reason.String())).Add(1)
+	}
+	reg.Counter(MetOutagesTotal).Add(int64(len(outages)))
+	reg.Counter(MetCovRequested).Add(int64(cov.Requested))
+	reg.Counter(MetCovAttained).Add(int64(cov.Attained))
+	reg.Counter(MetCovTasksLost).Add(int64(cov.TasksLost))
+}
+
+// accountOutages folds per-shard loss records into per-country Outage
+// entries (scan order) and the run's Coverage summary. It runs after
+// every unit has been emitted, under the assembly lock, so the sink's
+// no-locking contract is untouched.
+func accountOutages(shards []*shard, countries []geo.CountryCode) ([]Outage, Coverage) {
+	type tally struct {
+		total, lost, tasks int
+		byReason           [OutageDark + 1]int
+	}
+	tallies := make([]tally, len(countries))
+	requested := make([]bool, len(countries))
+	for _, sh := range shards {
+		t := &tallies[sh.group]
+		t.total++
+		requested[sh.group] = true
+		if sh.lost != OutageNone {
+			t.lost++
+			t.tasks += len(sh.tasks)
+			t.byReason[sh.lost]++
+		}
+	}
+
+	var outages []Outage
+	var cov Coverage
+	for g, t := range tallies {
+		if !requested[g] {
+			continue
+		}
+		cov.Requested++
+		if t.lost == 0 {
+			cov.Attained++
+			continue
+		}
+		reason := OutageNoExits
+		for r := OutageNoExits; r <= OutageDark; r++ {
+			if t.byReason[r] > t.byReason[reason] {
+				reason = r
+			}
+		}
+		outages = append(outages, Outage{
+			Country:     countries[g],
+			Reason:      reason,
+			Shards:      t.lost,
+			ShardsTotal: t.total,
+			Tasks:       t.tasks,
+		})
+		cov.TasksLost += t.tasks
+		if t.lost == t.total {
+			cov.Lost = append(cov.Lost, countries[g])
+		} else {
+			cov.Attained++
+		}
+	}
+	return outages, cov
 }
 
 // completed reports whether seq has already been completed.

@@ -4,7 +4,11 @@ import (
 	"context"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"geoblock/internal/telemetry"
 )
 
 // planInputs is a multi-shard, multi-country workload small enough to
@@ -215,5 +219,87 @@ func TestAssemblyAbort(t *testing.T) {
 	}
 	if len(col.Outages) != 0 || col.Coverage.Requested != 0 {
 		t.Fatal("abort ran the end-of-run accounting")
+	}
+}
+
+// tickClock advances one microsecond on every read, so any span or
+// unit measured against it has a nonzero, repeatable duration.
+type tickClock struct{ ns atomic.Int64 }
+
+func (c *tickClock) Now() time.Time { return time.Unix(0, c.ns.Add(int64(time.Microsecond))).UTC() }
+
+// countrySpans maps each country child of the "scan/<phase>" span to
+// its total duration.
+func countrySpans(t *testing.T, reg *telemetry.Registry, phase string) map[string]int64 {
+	t.Helper()
+	for _, sp := range reg.Snapshot().Spans {
+		if sp.Name != "scan/"+phase {
+			continue
+		}
+		out := map[string]int64{}
+		for _, c := range sp.Children {
+			out[c.Name] = c.TotalMicros
+		}
+		return out
+	}
+	t.Fatalf("no scan/%s span", phase)
+	return nil
+}
+
+// TestCountrySpansTimeUnits pins a country span's total to the
+// execution time of its units, on both paths: units completed through
+// an Assembly from their UnitResults (the fabric), and an in-process
+// Run whose units record into the plan's registry. Under an advancing
+// clock a span opened and closed at completion time would read one
+// tick per unit instead.
+func TestCountrySpansTimeUnits(t *testing.T) {
+	domains, tasks, cfg := planInputs()
+	_, countries := smallInputs(24)
+	cfg.Concurrency = 1 // one goroutine reads the clock, so ticks are repeatable
+
+	// Each unit's execution time, executed on its own ticking clock.
+	want := map[string]int64{}
+	solo := cfg
+	solo.Metrics = telemetry.NewWithClock(&tickClock{})
+	ref := NewPlan(domains, countries, tasks, solo)
+	results := make([]UnitResult, ref.NumUnits())
+	for seq := range results {
+		res, err := ref.ExecuteUnit(context.Background(), testNet, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Elapsed <= 0 {
+			t.Fatalf("unit %d: elapsed %v under an advancing clock", seq, res.Elapsed)
+		}
+		results[seq] = res
+		want[ref.Unit(seq).Country] += int64(res.Elapsed / time.Microsecond)
+	}
+
+	fabric := cfg
+	fabric.Metrics = telemetry.NewWithClock(&tickClock{})
+	p := NewPlan(domains, countries, tasks, fabric)
+	asm, err := NewAssembly(p, &Collect{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := len(results) - 1; seq >= 0; seq-- {
+		if err := asm.Complete(seq, results[seq]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := asm.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if got := countrySpans(t, fabric.Metrics, cfg.Phase); !reflect.DeepEqual(got, want) {
+		t.Fatalf("assembled country spans = %v, want the units' execution time %v", got, want)
+	}
+
+	inproc := cfg
+	inproc.Metrics = telemetry.NewWithClock(&tickClock{})
+	if err := Run(context.Background(), testNet, domains, countries, tasks, inproc, &Collect{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := countrySpans(t, inproc.Metrics, cfg.Phase); !reflect.DeepEqual(got, want) {
+		t.Fatalf("in-process country spans = %v, want the units' execution time %v", got, want)
 	}
 }

@@ -5,18 +5,21 @@ package scanner
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
-	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
 )
 
 // Run measures tasks through the proxy mesh, streaming samples into
 // sink in canonical country-major, task-order sequence. It returns
 // ctx.Err() if the scan was cancelled (in which case the sink holds a
-// prefix of the full run), nil otherwise.
+// prefix of the full run, made of whole shards), nil otherwise.
+//
+// Run is the single-process composition of the plan layer: NewPlan
+// decomposes the scan, the work-stealing pool executes its units, and
+// an Assembly folds them back into canonical order — the same per-unit
+// path a fabric coordinator drives across processes.
 //
 // Degradation contract: a country whose exits are exhausted — empty
 // inventory, a superproxy that never accepts a session, or a dark
@@ -25,129 +28,12 @@ import (
 // receives one typed Outage per affected country followed by the
 // run's Coverage summary.
 func Run(ctx context.Context, net *proxy.Network, domains []string, countries []geo.CountryCode, tasks []Task, cfg Config, sink Sink) error {
-	cfg = cfg.withDefaults()
-	pol := cfg.retryPolicy()
-
-	shards := buildCountryShards(countries, tasks, cfg)
-	skip, err := resumePrefix(cfg, shards)
+	p := NewPlan(domains, countries, tasks, cfg)
+	a, err := NewAssembly(p, sink)
 	if err != nil {
 		return err
 	}
-	_, journaling := sink.(ShardSink)
-
-	sp := startScanSpan(cfg)
-	scanCtx := ScanTraceCtx(cfg)
-	nameOf := func(sh *shard) string { return string(countries[sh.group]) }
-	run := func(ctx context.Context, sh *shard) {
-		// One country-span activation per shard: activations merge by
-		// name, so the node's count reads "shards run" and its outcome
-		// tally aggregates per-shard fates.
-		sh.country = nameOf(sh)
-		csp := sp.StartSpan(sh.country)
-		scfg := cfg
-		if journaling && cfg.Metrics != nil {
-			// Stage this shard's session and fetch metrics in a
-			// shard-local registry so ShardDone can carry exactly this
-			// shard's contribution; the emitter merges it back.
-			sh.staging = telemetry.NewWithClock(cfg.Metrics.Clock())
-			scfg.Metrics = sh.staging
-		}
-		tb := unitBuffer(scanCtx, sh.seq, cfg)
-		sh.out = scanShard(ctx, net, domains, countries, sh, scfg, pol, tb)
-		sh.events = tb.Events()
-		if sh.lost == OutageNone {
-			csp.Outcome("ok")
-		} else {
-			csp.Outcome(sh.lost.String())
-		}
-		csp.End()
-	}
-	creditSkipped(cfg, sp, shards[:skip], nameOf)
-	em := newEmitter(sink, shards, skip, cfg.Metrics, cfg.Trace, scanCtx, cfg.Phase)
-	err = schedule(ctx, shards, skip, cfg.Concurrency, run, em)
-	sp.End()
-	if err != nil {
-		return err
-	}
-	os, isOutageSink := sink.(OutageSink)
-	if isOutageSink || cfg.Metrics != nil || cfg.Trace != nil {
-		outages, cov := accountOutages(shards, countries)
-		countOutages(cfg.Metrics, outages, cov)
-		recordScanTail(cfg.Trace, scanCtx, cfg.Phase, outages, len(shards))
-		if isOutageSink {
-			for _, o := range outages {
-				os.EmitOutage(o)
-			}
-			os.EmitCoverage(cov)
-		}
-	}
-	return nil
-}
-
-// startScanSpan opens the engine's "scan/<phase>" span, nesting under
-// cfg.Span when the pipeline provided its phase span as parent.
-func startScanSpan(cfg Config) *telemetry.Span {
-	name := "scan/" + cfg.Phase
-	if cfg.Span != nil {
-		return cfg.Span.StartSpan(name)
-	}
-	return cfg.Metrics.StartSpan(name)
-}
-
-// countOutages mirrors the outage accounting into the registry.
-func countOutages(reg *telemetry.Registry, outages []Outage, cov Coverage) {
-	if reg == nil {
-		return
-	}
-	for _, o := range outages {
-		reg.Counter(telemetry.Label(MetOutages, "reason", o.Reason.String())).Add(1)
-	}
-	reg.Counter(MetOutagesTotal).Add(int64(len(outages)))
-	reg.Counter(MetCovRequested).Add(int64(cov.Requested))
-	reg.Counter(MetCovAttained).Add(int64(cov.Attained))
-	reg.Counter(MetCovTasksLost).Add(int64(cov.TasksLost))
-}
-
-// resumePrefix validates cfg.Resume against the freshly built shard
-// set and stamps the restored loss records onto the skipped prefix, so
-// the end-of-run outage and coverage accounting — which walks all
-// shards — reproduces the uninterrupted run's records exactly.
-func resumePrefix(cfg Config, shards []*shard) (int, error) {
-	r := cfg.Resume
-	if r == nil {
-		return 0, nil
-	}
-	if r.Shards < 0 || r.Shards > len(shards) {
-		return 0, fmt.Errorf("scanner: resume prefix of %d shards outside 0..%d", r.Shards, len(shards))
-	}
-	if len(r.Lost) != r.Shards {
-		return 0, fmt.Errorf("scanner: resume carries %d loss records for %d shards", len(r.Lost), r.Shards)
-	}
-	for i := 0; i < r.Shards; i++ {
-		shards[i].lost = r.Lost[i]
-	}
-	return r.Shards, nil
-}
-
-// creditSkipped restores the per-shard accounting a live run of the
-// skipped prefix would have produced: one country-span activation with
-// its outcome per shard, plus the shards-done counter. The prefix's
-// samples and session/fetch metrics are restored separately by the
-// journal's replay (see internal/runstore), keeping the deterministic
-// telemetry view identical to an uninterrupted run.
-func creditSkipped(cfg Config, sp *telemetry.Span, skipped []*shard, name func(*shard) string) {
-	for _, sh := range skipped {
-		csp := sp.StartSpan(name(sh))
-		if sh.lost == OutageNone {
-			csp.Outcome("ok")
-		} else {
-			csp.Outcome(sh.lost.String())
-		}
-		csp.End()
-	}
-	if len(skipped) > 0 {
-		cfg.Metrics.Counter(MetShardsDone).Add(int64(len(skipped)))
-	}
+	return a.run(ctx, p.meshScan(net), true)
 }
 
 // Scan is the collecting form of Run: it materializes the full Result.
@@ -159,11 +45,11 @@ func Scan(ctx context.Context, net *proxy.Network, domains []string, countries [
 	return &Result{Domains: domains, Countries: countries, Samples: c.Samples, Outages: c.Outages, Coverage: c.Coverage}, err
 }
 
-// scanShard runs one shard's tasks through its own sticky session,
-// recording on the shard why (if at all) its tasks were lost. tb,
-// when non-nil, stages the shard's trace events — session open, one
-// wide record per fetch, and the closing unit event.
-func scanShard(ctx context.Context, net *proxy.Network, domains []string, countries []geo.CountryCode, sh *shard, cfg Config, pol RetryPolicy, tb *trace.Buffer) []Sample {
+// scanShard runs one shard's tasks through its own sticky session and
+// reports why (if at all) its tasks were lost. tb, when non-nil, stages
+// the shard's trace events — session open, one wide record per fetch,
+// and the closing unit event.
+func scanShard(ctx context.Context, net *proxy.Network, domains []string, countries []geo.CountryCode, sh *shard, cfg Config, pol RetryPolicy, tb *trace.Buffer) ([]Sample, OutageReason) {
 	out := make([]Sample, 0, len(sh.tasks)*cfg.Samples)
 	cc := countries[sh.group]
 	unitStart := tb.Wall()
@@ -184,25 +70,24 @@ func scanShard(ctx context.Context, net *proxy.Network, domains []string, countr
 		tb.Record(ev)
 	}
 	if err != nil {
+		lost := OutageNoExits
 		var brown *proxy.ErrBrownout
 		if errors.As(err, &brown) {
-			sh.lost = OutageBrownout
-		} else {
-			sh.lost = OutageNoExits
+			lost = OutageBrownout
 		}
 		for _, t := range sh.tasks {
 			for a := 0; a < cfg.Samples; a++ {
 				out = append(out, Sample{Domain: t.Domain, Country: t.Country, Attempt: uint8(a), Err: ErrNoExits})
 			}
 		}
-		closeUnit(tb, sh, cfg, string(cc), len(out), unitStart)
-		return out
+		closeUnit(tb, sh, cfg, string(cc), lost, len(out), unitStart)
+		return out, lost
 	}
 
 	f := newFetcher(ctx, se.transport(), cfg)
 	for ti, t := range sh.tasks {
 		if ctx.Err() != nil {
-			return out
+			return out, OutageNone
 		}
 		domain := domains[t.Domain]
 		for a := 0; a < cfg.Samples; a++ {
@@ -217,65 +102,10 @@ func scanShard(ctx context.Context, net *proxy.Network, domains []string, countr
 			recordFetch(tb, sh, cfg, string(cc), domain, ti*cfg.Samples+a, s, fetchStart)
 		}
 	}
+	lost := OutageNone
 	if se.dark() {
-		sh.lost = OutageDark
+		lost = OutageDark
 	}
-	closeUnit(tb, sh, cfg, string(cc), len(out), unitStart)
-	return out
-}
-
-// accountOutages folds per-shard loss records into per-country Outage
-// entries (scan order) and the run's Coverage summary. It runs after
-// the pool drains, on the caller's goroutine, so the sink's
-// no-locking contract is untouched.
-func accountOutages(shards []*shard, countries []geo.CountryCode) ([]Outage, Coverage) {
-	type tally struct {
-		total, lost, tasks int
-		byReason           [OutageDark + 1]int
-	}
-	tallies := make([]tally, len(countries))
-	requested := make([]bool, len(countries))
-	for _, sh := range shards {
-		t := &tallies[sh.group]
-		t.total++
-		requested[sh.group] = true
-		if sh.lost != OutageNone {
-			t.lost++
-			t.tasks += len(sh.tasks)
-			t.byReason[sh.lost]++
-		}
-	}
-
-	var outages []Outage
-	var cov Coverage
-	for g, t := range tallies {
-		if !requested[g] {
-			continue
-		}
-		cov.Requested++
-		if t.lost == 0 {
-			cov.Attained++
-			continue
-		}
-		reason := OutageNoExits
-		for r := OutageNoExits; r <= OutageDark; r++ {
-			if t.byReason[r] > t.byReason[reason] {
-				reason = r
-			}
-		}
-		outages = append(outages, Outage{
-			Country:     countries[g],
-			Reason:      reason,
-			Shards:      t.lost,
-			ShardsTotal: t.total,
-			Tasks:       t.tasks,
-		})
-		cov.TasksLost += t.tasks
-		if t.lost == t.total {
-			cov.Lost = append(cov.Lost, countries[g])
-		} else {
-			cov.Attained++
-		}
-	}
-	return outages, cov
+	closeUnit(tb, sh, cfg, string(cc), lost, len(out), unitStart)
+	return out, lost
 }

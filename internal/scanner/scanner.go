@@ -1,6 +1,15 @@
-// Package scanner is the layered scan engine behind lumscan (§3.2).
-// It splits the hot path every study phase funnels through into four
-// composable layers:
+// Package scanner is the reproduction of the paper's Lumscan tool
+// (§3.2): a reliable scanning engine over the residential proxy mesh,
+// with connectivity pre-checks on each exit, configurable retries for
+// failed requests, full control of request headers (a bare User-Agent
+// is not enough to avoid bot detection), and load balancing that
+// rotates exit machines after a bounded number of requests so no end
+// user carries the scan. Samples record status, body length, the exit
+// that served them, and the deterministic seed that lets Replay
+// re-fetch the exact body later instead of storing terabytes of HTML.
+//
+// The engine splits the hot path every study phase funnels through
+// into four composable layers:
 //
 //   - Scheduler (sched.go): shards each country's task list into
 //     deterministic chunks and work-steals across shards, so one large
@@ -13,6 +22,10 @@
 //   - Sink (sink.go): streaming delivery of samples. Collect rebuilds
 //     the classic in-memory Result; folding sinks let consumers drop
 //     bodies immediately, bounding peak memory on Top-1M-scale runs.
+//
+// The plan layer (plan.go) ties them together: Run, RunVPS and the
+// distributed fabric all execute units through one per-unit path and
+// fold them back through one Assembly.
 //
 // Determinism contract: every sample is a pure function of (domain,
 // country, phase, attempt, shard slot). Shard boundaries and slots do
@@ -128,6 +141,15 @@ func (r OutageReason) String() string {
 		return "dark"
 	}
 	return "unknown"
+}
+
+// outcome is the reason's span and trace outcome key: "ok" for a
+// healthy shard, the reason's label otherwise.
+func (r OutageReason) outcome() string {
+	if r == OutageNone {
+		return "ok"
+	}
+	return r.String()
 }
 
 // Outage is the typed per-country degradation record: instead of
@@ -355,6 +377,20 @@ func BrowserHeaders() map[string]string {
 func ZGrabHeaders() map[string]string {
 	return map[string]string{
 		"User-Agent": "Mozilla/5.0 (Macintosh; Intel Mac OS X 10.13; rv:61.0) Gecko/20100101 Firefox/61.0",
+	}
+}
+
+// DefaultConfig is the initial-snapshot configuration of §4.1.1.
+func DefaultConfig() Config {
+	return Config{
+		Samples:            3,
+		Retries:            2,
+		RequestsPerExit:    10,
+		MaxRedirects:       10,
+		Concurrency:        8,
+		Headers:            BrowserHeaders(),
+		Phase:              "initial",
+		VerifyConnectivity: true,
 	}
 }
 

@@ -33,11 +33,16 @@ type shard struct {
 	events []trace.Event
 }
 
-// buildShards chunks each group's tasks. Boundaries depend only on the
-// task lists and shardSize — never on Concurrency — so the shard set
-// (and through slotFor, every session slot) is stable across any
+// buildShards groups tasks by Task.Country (a country or VPS index
+// below groups) and chunks each group's list. Boundaries depend only on
+// the task lists and shardSize — never on Concurrency — so the shard
+// set (and through slotFor, every session slot) is stable across any
 // worker count.
-func buildShards(byGroup [][]Task, shardSize int, slotFor func(group int16, index int) uint64) []*shard {
+func buildShards(tasks []Task, groups, shardSize int, slotFor func(group int16, index int) uint64) []*shard {
+	byGroup := make([][]Task, groups)
+	for _, t := range tasks {
+		byGroup[t.Country] = append(byGroup[t.Country], t)
+	}
 	var shards []*shard
 	for g, tasks := range byGroup {
 		for i := 0; len(tasks) > 0; i++ {
@@ -65,34 +70,34 @@ func shardSlot(country, phase string, index int) uint64 {
 	return hash(country + "/" + phase + "/" + strconv.Itoa(index))
 }
 
-// deque is one worker's shard queue. The owner pops from the front
-// (low canonical sequence first); thieves steal from the back, so a
-// skewed country's tail chunks migrate to idle workers.
+// deque is one worker's queue of unit sequence numbers. The owner pops
+// from the front (low canonical sequence first); thieves steal from the
+// back, so a skewed country's tail chunks migrate to idle workers.
 type deque struct {
-	mu     sync.Mutex
-	shards []*shard
+	mu   sync.Mutex
+	seqs []int
 }
 
-func (d *deque) popFront() *shard {
+func (d *deque) popFront() (int, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.shards) == 0 {
-		return nil
+	if len(d.seqs) == 0 {
+		return 0, false
 	}
-	sh := d.shards[0]
-	d.shards = d.shards[1:]
-	return sh
+	seq := d.seqs[0]
+	d.seqs = d.seqs[1:]
+	return seq, true
 }
 
-func (d *deque) stealBack() *shard {
+func (d *deque) stealBack() (int, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.shards) == 0 {
-		return nil
+	if len(d.seqs) == 0 {
+		return 0, false
 	}
-	sh := d.shards[len(d.shards)-1]
-	d.shards = d.shards[:len(d.shards)-1]
-	return sh
+	seq := d.seqs[len(d.seqs)-1]
+	d.seqs = d.seqs[:len(d.seqs)-1]
+	return seq, true
 }
 
 // emitter delivers completed shards to the sink in canonical order: a
@@ -114,12 +119,16 @@ type emitter struct {
 	tr      *trace.Tracer
 	scanCtx trace.SpanCtx
 	phase   string
+	// stop, when closed, ends emission at the next shard boundary: the
+	// in-process pool sets it to its ctx.Done(), so a cancelled scan
+	// leaves the sink a prefix of whole shards and delivers no buffered
+	// shard after the cancellation.
+	stop <-chan struct{}
 }
 
-// newEmitter builds the canonical-order emitter both compositions
-// share: schedule (the in-process pool) and Assembly (the fabric's
-// reassembly) must stay on this one constructor so their emission-time
-// accounting — metrics merge, ShardDone, trace append — is identical.
+// newEmitter builds the Assembly's canonical-order emitter, whose
+// emission-time accounting — metrics merge, ShardDone, trace append —
+// is therefore identical in process and on the fabric.
 func newEmitter(sink Sink, shards []*shard, skip int, reg *telemetry.Registry, tr *trace.Tracer, scanCtx trace.SpanCtx, phase string) *emitter {
 	done := make([]bool, len(shards))
 	for i := 0; i < skip; i++ {
@@ -135,6 +144,11 @@ func (e *emitter) complete(sh *shard) {
 	defer e.mu.Unlock()
 	e.done[sh.seq] = true
 	for e.next < len(e.shards) && e.done[e.next] {
+		select {
+		case <-e.stop:
+			return
+		default:
+		}
 		ready := e.shards[e.next]
 		for i := range ready.out {
 			e.sink.Emit(ready.out[i])
@@ -177,11 +191,7 @@ func (e *emitter) complete(sh *shard) {
 			ev.Unit = ready.seq
 			ev.Country = ready.country
 			ev.Phase = e.phase
-			if ready.lost == OutageNone {
-				ev.Outcome = "ok"
-			} else {
-				ev.Outcome = ready.lost.String()
-			}
+			ev.Outcome = ready.lost.outcome()
 			ev.VirtNS = virt
 			ev.WallNS = wall
 			ev.Attrs = []trace.Attr{{K: "samples", V: strconv.Itoa(len(ready.out))}}
@@ -194,45 +204,37 @@ func (e *emitter) complete(sh *shard) {
 	}
 }
 
-// schedule fans shards out over a work-stealing pool and streams
-// completed shards through em in canonical order. run must fill
-// sh.out. The first skip shards are a resumed prefix: already
-// persisted by an earlier run, they are never distributed — the
-// emitter's frontier starts past them. On context cancellation workers
-// stop picking up shards and schedule returns ctx.Err();
-// already-emitted samples are not retracted.
-func schedule(ctx context.Context, shards []*shard, skip int, workers int, run func(context.Context, *shard), em *emitter) error {
-	if len(shards) == 0 {
+// schedule fans the pending units out over a work-stealing pool,
+// calling run once per unit; run owns everything that happens to the
+// unit's result (see Assembly.run). On context cancellation workers
+// stop picking up units and schedule returns ctx.Err(). The pool only
+// records its runtime-class metrics — the worker gauge and steals —
+// and, through em's trace wiring, one "steal" event per migrated unit.
+func schedule(ctx context.Context, pending []int, workers int, run func(context.Context, int), em *emitter) error {
+	if len(pending) == 0 {
 		return ctx.Err()
 	}
-	reg := em.reg
-	reg.Counter(MetShardsScheduled).Add(int64(len(shards)))
-	live := shards[skip:]
-	if len(live) == 0 {
-		return ctx.Err()
-	}
-	if workers > len(live) {
-		workers = len(live)
+	if workers > len(pending) {
+		workers = len(pending)
 	}
 	if workers < 1 {
 		workers = 1
 	}
 	// Steal counts and the worker gauge depend on scheduling, so they
-	// are runtime-class; everything else here is deterministic.
-	reg.RuntimeGauge(MetWorkers).Set(int64(workers))
-	steals := reg.RuntimeCounter(MetSteals)
-	shardsDone := reg.Counter(MetShardsDone)
+	// are runtime-class.
+	em.reg.RuntimeGauge(MetWorkers).Set(int64(workers))
+	steals := em.reg.RuntimeCounter(MetSteals)
 
-	// Round-robin distribution: shard i starts on worker i%workers, so
-	// a giant country's chunks are spread across the pool from the
-	// start and stealing only handles residual imbalance.
+	// Round-robin distribution: unit i starts on worker i%workers, so a
+	// giant country's chunks are spread across the pool from the start
+	// and stealing only handles residual imbalance.
 	deques := make([]*deque, workers)
 	for w := range deques {
 		deques[w] = &deque{}
 	}
-	for i, sh := range live {
+	for i, seq := range pending {
 		d := deques[i%workers]
-		d.shards = append(d.shards, sh)
+		d.seqs = append(d.seqs, seq)
 	}
 
 	var wg sync.WaitGroup
@@ -244,19 +246,19 @@ func schedule(ctx context.Context, shards []*shard, skip int, workers int, run f
 				if ctx.Err() != nil {
 					return
 				}
-				sh := deques[w].popFront()
-				if sh == nil {
-					for off := 1; off < workers && sh == nil; off++ {
-						sh = deques[(w+off)%workers].stealBack()
+				seq, ok := deques[w].popFront()
+				if !ok {
+					for off := 1; off < workers && !ok; off++ {
+						seq, ok = deques[(w+off)%workers].stealBack()
 					}
-					if sh != nil {
+					if ok {
 						steals.Add(1)
 						if em.tr != nil {
-							// Which shard migrates depends entirely on
+							// Which unit migrates depends entirely on
 							// scheduling — runtime-class by definition.
-							ev := trace.NewEvent(em.scanCtx.Child("steal", sh.seq), "steal")
+							ev := trace.NewEvent(em.scanCtx.Child("steal", seq), "steal")
 							ev.Parent = em.scanCtx.Span
-							ev.Unit = sh.seq
+							ev.Unit = seq
 							ev.Phase = em.phase
 							ev.Runtime = true
 							_, ev.WallNS = em.tr.Now()
@@ -265,12 +267,10 @@ func schedule(ctx context.Context, shards []*shard, skip int, workers int, run f
 						}
 					}
 				}
-				if sh == nil {
-					return // pool drained: the shard set is static
+				if !ok {
+					return // pool drained: the unit set is static
 				}
-				run(ctx, sh)
-				shardsDone.Add(1)
-				em.complete(sh)
+				run(ctx, seq)
 			}
 		}(w)
 	}

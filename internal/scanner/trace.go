@@ -44,7 +44,7 @@ func unitBuffer(scanCtx trace.SpanCtx, seq int, cfg Config) *trace.Buffer {
 
 // closeUnit records the shard's closing "unit" event: one wide record
 // carrying the unit's coordinates, fate, and wall duration.
-func closeUnit(tb *trace.Buffer, sh *shard, cfg Config, country string, samples int, wallStart int64) {
+func closeUnit(tb *trace.Buffer, sh *shard, cfg Config, country string, lost OutageReason, samples int, wallStart int64) {
 	if tb == nil {
 		return
 	}
@@ -53,11 +53,7 @@ func closeUnit(tb *trace.Buffer, sh *shard, cfg Config, country string, samples 
 	ev.Unit = sh.seq
 	ev.Country = country
 	ev.Phase = cfg.Phase
-	if sh.lost == OutageNone {
-		ev.Outcome = "ok"
-	} else {
-		ev.Outcome = sh.lost.String()
-	}
+	ev.Outcome = lost.outcome()
 	ev.WallNS = wallStart
 	ev.WallDurNS = tb.Wall() - wallStart
 	ev.Attrs = []trace.Attr{
@@ -86,9 +82,8 @@ func recordFetch(tb *trace.Buffer, sh *shard, cfg Config, country, domain string
 	tb.Record(ev)
 }
 
-// recordScanTail emits the end-of-scan events every composition shares
-// — Run's tail and Assembly.Finish both land here so the merged
-// streams agree byte-for-byte. One "outage" event per degraded
+// recordScanTail emits the end-of-scan events of the Assembly's tail,
+// so the in-process and fabric streams agree byte-for-byte. One "outage" event per degraded
 // country (each also firing the flight recorder), then the closing
 // "scan" event.
 func recordScanTail(tr *trace.Tracer, scanCtx trace.SpanCtx, phase string, outages []Outage, shards int) {

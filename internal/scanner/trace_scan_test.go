@@ -176,7 +176,7 @@ func TestTracingDisabledOverhead(t *testing.T) {
 					sinkB = !sinkB
 				}
 			}
-			closeUnit(tb, &shard{seq: i}, off, "US", 0, 0)
+			closeUnit(tb, &shard{seq: i}, off, "US", OutageNone, 0, 0)
 			sink = tb
 		}
 	})

@@ -9,7 +9,6 @@ import (
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
-	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
 )
 
@@ -17,7 +16,9 @@ import (
 // fleet positions (Task.Country is the VPS index); a nil task list
 // scans the full cross product. Samples are a pure function of
 // (domain, VPS, phase, attempt) — no session state — so results are
-// identical at any concurrency and shard size.
+// identical at any concurrency and shard size. The fleet's shards run
+// through the same Assembly as Run's, minus the outage and coverage
+// tail: a VPS shard cannot be lost.
 func RunVPS(ctx context.Context, fleet []*proxy.VPS, domains []string, tasks []Task, cfg Config, sink Sink) error {
 	if cfg.Headers == nil {
 		cfg.Headers = ZGrabHeaders()
@@ -27,55 +28,32 @@ func RunVPS(ctx context.Context, fleet []*proxy.VPS, domains []string, tasks []T
 		tasks = CrossProduct(len(domains), len(fleet))
 	}
 
-	byVPS := make([][]Task, len(fleet))
-	for _, t := range tasks {
-		byVPS[t.Country] = append(byVPS[t.Country], t)
-	}
-	shards := buildShards(byVPS, cfg.ShardSize, func(int16, int) uint64 { return 0 })
-	skip, err := resumePrefix(cfg, shards)
+	p := &Plan{domains: domains, countries: fleetCountries(fleet), cfg: cfg,
+		shards: buildShards(tasks, len(fleet), cfg.ShardSize, func(int16, int) uint64 { return 0 })}
+	a, err := NewAssembly(p, sink)
 	if err != nil {
 		return err
 	}
-	_, journaling := sink.(ShardSink)
+	return a.run(ctx, func(ctx context.Context, sh *shard, cfg Config, tb *trace.Buffer) ([]Sample, OutageReason) {
+		return scanVPSShard(ctx, fleet[sh.group], domains, sh, cfg, tb), OutageNone
+	}, false)
+}
 
-	sp := startScanSpan(cfg)
-	scanCtx := ScanTraceCtx(cfg)
-	nameOf := func(sh *shard) string { return string(fleet[sh.group].Country) }
-	run := func(ctx context.Context, sh *shard) {
-		sh.country = nameOf(sh)
-		csp := sp.StartSpan(sh.country)
-		scfg := cfg
-		if journaling && cfg.Metrics != nil {
-			sh.staging = telemetry.NewWithClock(cfg.Metrics.Clock())
-			scfg.Metrics = sh.staging
-		}
-		tb := unitBuffer(scanCtx, sh.seq, cfg)
-		sh.out = scanVPSShard(ctx, fleet[sh.group], domains, sh, scfg, tb)
-		sh.events = tb.Events()
-		csp.Outcome("ok") // no session layer: a VPS shard cannot be lost
-		csp.End()
+// fleetCountries lists each fleet position's country.
+func fleetCountries(fleet []*proxy.VPS) []geo.CountryCode {
+	countries := make([]geo.CountryCode, len(fleet))
+	for i, v := range fleet {
+		countries[i] = v.Country
 	}
-	creditSkipped(cfg, sp, shards[:skip], nameOf)
-	em := newEmitter(sink, shards, skip, cfg.Metrics, cfg.Trace, scanCtx, cfg.Phase)
-	err = schedule(ctx, shards, skip, cfg.Concurrency, run, em)
-	sp.End()
-	if err != nil {
-		return err
-	}
-	recordScanTail(cfg.Trace, scanCtx, cfg.Phase, nil, len(shards))
-	return nil
+	return countries
 }
 
 // ScanVPS is the collecting form of RunVPS over the full cross
 // product, with one Result country entry per fleet position.
 func ScanVPS(ctx context.Context, fleet []*proxy.VPS, domains []string, cfg Config) (*Result, error) {
-	countries := make([]geo.CountryCode, len(fleet))
-	for i, v := range fleet {
-		countries[i] = v.Country
-	}
 	var c Collect
 	err := RunVPS(ctx, fleet, domains, nil, cfg, &c)
-	return &Result{Domains: domains, Countries: countries, Samples: c.Samples}, err
+	return &Result{Domains: domains, Countries: fleetCountries(fleet), Samples: c.Samples}, err
 }
 
 func scanVPSShard(ctx context.Context, v *proxy.VPS, domains []string, sh *shard, cfg Config, tb *trace.Buffer) []Sample {
@@ -84,7 +62,7 @@ func scanVPSShard(ctx context.Context, v *proxy.VPS, domains []string, sh *shard
 	unitStart := tb.Wall()
 	for ti, t := range sh.tasks {
 		if ctx.Err() != nil {
-			return out
+			return out // discarded: a cancelled unit yields no result
 		}
 		domain := domains[t.Domain]
 		for a := 0; a < cfg.Samples; a++ {
@@ -99,6 +77,6 @@ func scanVPSShard(ctx context.Context, v *proxy.VPS, domains []string, sh *shard
 			recordFetch(tb, sh, cfg, string(v.Country), domain, ti*cfg.Samples+a, s, fetchStart)
 		}
 	}
-	closeUnit(tb, sh, cfg, string(v.Country), len(out), unitStart)
+	closeUnit(tb, sh, cfg, string(v.Country), OutageNone, len(out), unitStart)
 	return out
 }

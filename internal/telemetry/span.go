@@ -95,3 +95,15 @@ func (s *Span) End() {
 	}
 	s.n.done(s.reg.Now().Sub(s.start))
 }
+
+// Record folds one finished child activation named name under s, with
+// outcome tallied and duration d — for work timed where it ran, such as
+// a unit executed on another goroutine or in another process.
+func (s *Span) Record(name, outcome string, d time.Duration) {
+	if s == nil {
+		return
+	}
+	n := s.n.child(name)
+	n.outcome(outcome)
+	n.done(d)
+}

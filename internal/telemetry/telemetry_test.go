@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -113,6 +114,29 @@ func TestSpanTreeMerges(t *testing.T) {
 	}
 	if kids[0].Outcomes[0] != (OutcomeStat{Key: "dark", Count: 3}) {
 		t.Fatalf("outcome tally = %+v", kids[0].Outcomes)
+	}
+}
+
+// TestSpanRecord: an activation timed elsewhere folds into the same
+// node as a live one, with its given duration and outcome.
+func TestSpanRecord(t *testing.T) {
+	r := New()
+	sp := r.StartSpan("scan")
+	sp.Record("IR", "dark", 3*time.Millisecond)
+	c := sp.StartSpan("IR")
+	c.Outcome("ok")
+	c.End()
+	sp.End()
+	var nilSpan *Span
+	nilSpan.Record("IR", "ok", time.Second) // no-op, like every nil-span call
+
+	kids := r.Snapshot().Spans[0].Children
+	if len(kids) != 1 || kids[0].Count != 2 || kids[0].TotalMicros != 3000 {
+		t.Fatalf("recorded activation must merge with the live one: %+v", kids)
+	}
+	want := []OutcomeStat{{Key: "dark", Count: 1}, {Key: "ok", Count: 1}}
+	if !reflect.DeepEqual(kids[0].Outcomes, want) {
+		t.Fatalf("outcomes = %+v, want %+v", kids[0].Outcomes, want)
 	}
 }
 
