@@ -20,6 +20,10 @@
 #                plus an explicit run of the verdict edge's trimmed soak
 #                shape — the heaviest reader/swap interleaving the suite
 #                has — so it never hides behind test caching
+#   make stress  50 uncached runs of the scheduler's cancellation,
+#                determinism, canonical-order, and reorder-window
+#                tests, so a flake rate fails the build instead of
+#                passing on luck
 #   make cover   coverage with ratcheted floors for the scan engine, the
 #                fault-injection layer, the telemetry layer, the journal
 #                (runstore), the verdict edge, and the lint suite
@@ -50,7 +54,7 @@
 
 GO ?= go
 
-.PHONY: check lint lint-json race cover fuzz bench profile fabric-test soak
+.PHONY: check lint lint-json race stress cover fuzz bench profile fabric-test soak
 
 check:
 	$(GO) build ./...
@@ -68,6 +72,11 @@ lint-json:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race ./cmd/worldd -run TestVerdictSoak -count=1
+
+STRESS_TESTS = ^(TestCancellation|TestCancelled.*|TestDeterminismAcrossConcurrency|TestCanonicalOrder|TestReorderWindowBoundsBuffering)$$
+
+stress:
+	$(GO) test -count=50 ./internal/scanner -run '$(STRESS_TESTS)'
 
 # Ratcheted coverage floors: set just below the level each package
 # actually achieves, so coverage can only move up. Raise the floor when

@@ -854,7 +854,8 @@ func (t simRTT) RoundTrip(req *http.Request) (*http.Response, error) {
 	return t.rt.RoundTrip(req)
 }
 
-// BenchmarkScanSkewedSharded pits the work-stealing scheduler against
+// BenchmarkScanSkewedSharded pits the sharded pool — workers claiming
+// units lowest-seq-first behind the bounded reorder window — against
 // the old one-worker-per-country shape (recovered by making each
 // country a single shard) on the skewed workload, under a simulated
 // 200µs round-trip. With one shard per country the skewed country's

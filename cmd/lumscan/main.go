@@ -171,10 +171,7 @@ func main() {
 	cfg.Samples = *samples
 	cfg.Phase = "cli"
 	cfg.Metrics = reg
-	if tracer != nil {
-		cfg.Trace = tracer
-		cfg.TraceWall = tracer.WallClock()
-	}
+	cfg.Trace = tracer
 	if *zgrab {
 		cfg.Headers = scanner.ZGrabHeaders()
 	}
@@ -302,27 +299,18 @@ func (c *cliSink) EmitCoverage(cov scanner.Coverage) {
 // -store directory reused with different inputs errors instead of
 // splicing two different scans. Concurrency is deliberately absent.
 func scanFingerprint(seed uint64, scale float64, domains []string, countries []geo.CountryCode, samples int, zgrab bool) uint64 {
-	h := fnv("lumscan-cli")
+	h := stats.FNV1a("lumscan-cli")
 	h = stats.Mix64(h ^ seed)
 	h = stats.Mix64(h ^ math.Float64bits(scale))
 	for _, d := range domains {
-		h = stats.Mix64(h ^ fnv(d))
+		h = stats.Mix64(h ^ stats.FNV1a(d))
 	}
 	for _, c := range countries {
-		h = stats.Mix64(h ^ fnv(string(c)))
+		h = stats.Mix64(h ^ stats.FNV1a(string(c)))
 	}
 	h = stats.Mix64(h ^ uint64(samples))
 	if zgrab {
 		h = stats.Mix64(h ^ 1)
-	}
-	return h
-}
-
-func fnv(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
 	}
 	return h
 }

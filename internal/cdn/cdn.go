@@ -60,7 +60,7 @@ const edgeGeoIPErrorPermille = 10
 // Serve answers req according to the domain's serving chain.
 func Serve(w *worldgen.World, req Request) Response {
 	d := req.Domain
-	rng := stats.NewRNG(stats.Mix64(req.SampleSeed) ^ hashName(d.Name))
+	rng := stats.NewRNG(stats.Mix64(req.SampleSeed) ^ stats.FNV1a(d.Name))
 
 	loc, ok := w.Geo.Locate(req.ClientIP)
 	if !ok {
@@ -104,7 +104,7 @@ func Serve(w *worldgen.World, req Request) Response {
 	// short-page noise for the outlier pipeline.
 	if d.JunkRate > 0 && rng.Bool(d.JunkRate) {
 		kinds := blockpage.JunkKinds()
-		k := kinds[hashName(d.Name)%uint64(len(kinds))]
+		k := kinds[stats.FNV1a(d.Name)%uint64(len(kinds))]
 		junk := blockpage.RenderJunk(k, d.Name, vars.Nonce[:6])
 		return page(200, header, blockpage.KindNone, func() string { return junk }, len(junk), "")
 	}
@@ -213,7 +213,7 @@ func applyAccessControl(w *worldgen.World, d *worldgen.Domain, req Request, loc 
 		// address). The challenge page carries a 403, which is why OONI
 		// controls made over Tor so often look "blocked" (§7.1).
 		if p == worldgen.Cloudflare && w.Geo.IsAnonymizer(req.ClientIP) {
-			draw := float64(stats.Mix64(hashName(d.Name)^uint64(req.ClientIP)^0x7042)>>11) / (1 << 53)
+			draw := float64(stats.Mix64(stats.FNV1a(d.Name)^uint64(req.ClientIP)^0x7042)>>11) / (1 << 53)
 			if draw < 0.80 {
 				return blockResponse(blockpage.CloudflareCaptcha, vars, header), true
 			}
@@ -234,7 +234,7 @@ func applyAccessControl(w *worldgen.World, d *worldgen.Domain, req Request, loc 
 			if w.Geo.IsAnonymizer(req.ClientIP) {
 				risk = 0.88
 			}
-			draw := float64(stats.Mix64(hashName(d.Name)^uint64(req.ClientIP)^0x5ca1ab1e)>>11) / (1 << 53)
+			draw := float64(stats.Mix64(stats.FNV1a(d.Name)^uint64(req.ClientIP)^0x5ca1ab1e)>>11) / (1 << 53)
 			if draw < d.ReputationSensitivity*risk {
 				if p == worldgen.Akamai {
 					return blockResponse(blockpage.Akamai, vars, header), true
@@ -487,13 +487,4 @@ func airbnbBlocked(loc geo.Location) bool {
 		return true
 	}
 	return loc.Region == geo.RegionCrimea
-}
-
-func hashName(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

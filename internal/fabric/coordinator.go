@@ -193,7 +193,6 @@ func (c *Coordinator) RunPhase(ctx context.Context, domains []string, countries 
 		// `lumscan -serve-fabric -trace` captures the whole study without
 		// the caller threading a tracer through every phase config.
 		cfg.Trace = c.opts.Trace
-		cfg.TraceWall = c.opts.Trace.WallClock()
 	}
 	plan := scanner.NewPlan(domains, countries, tasks, cfg)
 	asm, err := scanner.NewAssembly(plan, sink)

@@ -330,9 +330,11 @@ func (w *Worker) ensurePhase(ctx context.Context, id int) (bool, error) {
 		// Pin the coordinator-issued scan context so every unit context
 		// (and every event ID) derives identically here and there. The
 		// trace fields never enter the plan fingerprint — tracing is
-		// output-invariant, like Concurrency.
+		// output-invariant, like Concurrency. The tracer supplies the
+		// unit events' wall clock; set outside this branch it would make
+		// an untraced phase stage unit events.
 		cfg.TraceCtx = spec.Trace
-		cfg.TraceWall = w.opts.Trace.WallClock()
+		cfg.Trace = w.opts.Trace
 	}
 	plan := scanner.NewPlan(spec.Domains, spec.Countries, spec.Tasks, cfg)
 	if got := plan.Fingerprint(); got != spec.Fingerprint {

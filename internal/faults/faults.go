@@ -2,8 +2,7 @@
 // scan path: a seeded Injector that implements proxy.FaultHook (exit
 // churn mid-session, dark-exit streaks, superproxy brownouts,
 // slowloris stalls, truncated transfers, per-country failure-rate
-// profiles) and a transport wrapper for vantage points that have no
-// proxy mesh in front of them (the VPS fleet).
+// profiles), plus store-crash and worker-death hooks.
 //
 // The paper's Lumscan exists because the Luminati mesh is unreliable —
 // dark exits, flaky superproxies, and mid-run churn are the normal
@@ -25,15 +24,12 @@
 package faults
 
 import (
-	"io"
-	"net/http"
 	"sort"
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
 	"geoblock/internal/stats"
 	"geoblock/internal/telemetry"
-	"geoblock/internal/vnet"
 )
 
 // Profile is one country's (or the default) failure-rate profile. The
@@ -138,7 +134,7 @@ func (in *Injector) profile(cc geo.CountryCode) Profile {
 // injector seed, a label, and the keys — the only randomness source in
 // the package.
 func (in *Injector) draw(label string, keys ...uint64) float64 {
-	h := in.seed ^ hashString(label)
+	h := in.seed ^ stats.FNV1a(label)
 	for _, k := range keys {
 		h = stats.Mix64(h ^ k)
 	}
@@ -151,7 +147,7 @@ func (in *Injector) Brownout(cc geo.CountryCode, slot uint64, attempt int) bool 
 	if p.Brownout <= 0 {
 		return false
 	}
-	if in.draw("brownout", hashString(string(cc)), slot) >= p.Brownout {
+	if in.draw("brownout", stats.FNV1a(string(cc)), slot) >= p.Brownout {
 		return false
 	}
 	length := p.BrownoutLen
@@ -171,7 +167,7 @@ func (in *Injector) ExitDark(cc geo.CountryCode, exit geo.IP) bool {
 	if p.DarkExits <= 0 {
 		return false
 	}
-	fired := in.draw("dark", hashString(string(cc)), uint64(exit)) < p.DarkExits
+	fired := in.draw("dark", stats.FNV1a(string(cc)), uint64(exit)) < p.DarkExits
 	if fired {
 		in.count("dark", string(cc))
 	}
@@ -184,7 +180,7 @@ func (in *Injector) Churned(cc geo.CountryCode, exit geo.IP, served int) bool {
 	if p.Churn <= 0 {
 		return false
 	}
-	if in.draw("churn", hashString(string(cc)), uint64(exit)) >= p.Churn {
+	if in.draw("churn", stats.FNV1a(string(cc)), uint64(exit)) >= p.Churn {
 		return false
 	}
 	deathAt := 1 + int(stats.Mix64(in.seed^0xc4a12b^uint64(exit))%churnSpan)
@@ -206,7 +202,7 @@ func (in *Injector) StoreCrash(span int64) func(written int64) bool {
 	if span < 1 {
 		span = 1
 	}
-	at := 1 + int64(stats.Mix64(in.seed^hashString("kill-mid-write"))%uint64(span))
+	at := 1 + int64(stats.Mix64(in.seed^stats.FNV1a("kill-mid-write"))%uint64(span))
 	return func(written int64) bool {
 		fired := written >= at
 		if fired {
@@ -227,7 +223,7 @@ func (in *Injector) WorkerDeath(span int64) func(executed int64) bool {
 	if span < 1 {
 		span = 1
 	}
-	at := 1 + int64(stats.Mix64(in.seed^hashString("worker-death"))%uint64(span))
+	at := 1 + int64(stats.Mix64(in.seed^stats.FNV1a("worker-death"))%uint64(span))
 	return func(executed int64) bool {
 		fired := executed >= at
 		if fired {
@@ -244,7 +240,7 @@ func (in *Injector) Request(cc geo.CountryCode, exit geo.IP, host string, seed u
 	if p.ExitFailure <= 0 && p.Stall <= 0 && p.Truncate <= 0 {
 		return proxy.FaultNone
 	}
-	u := in.draw("request", uint64(exit), hashString(host), seed)
+	u := in.draw("request", uint64(exit), stats.FNV1a(host), seed)
 	switch {
 	case u < p.ExitFailure:
 		in.count("exitdown", string(cc))
@@ -258,80 +254,6 @@ func (in *Injector) Request(cc geo.CountryCode, exit geo.IP, host string, seed u
 	}
 	return proxy.FaultNone
 }
-
-// WrapTransport wraps rt with the injector's default profile's
-// per-request faults (ExitFailure/Stall/Truncate), keyed by the
-// per-sample seed in the request context. It is the fault seam for
-// scan paths with no proxy mesh — the VPS fleet, or any consumer of
-// scanner.Config.WrapTransport — and is country-agnostic by
-// construction.
-func (in *Injector) WrapTransport(rt http.RoundTripper) http.RoundTripper {
-	return &faultTransport{in: in, next: rt}
-}
-
-type faultTransport struct {
-	in   *Injector
-	next http.RoundTripper
-}
-
-func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	host := req.URL.Hostname()
-	seed, _ := vnet.SampleSeed(req.Context())
-	p := t.in.def
-	u := t.in.draw("transport", hashString(host), seed)
-	switch {
-	case u < p.ExitFailure:
-		t.in.count("exitdown", "vps")
-		return nil, &vnet.OpError{Op: "proxy", Host: host, Msg: "injected: connection failed"}
-	case u < p.ExitFailure+p.Stall:
-		t.in.count("stall", "vps")
-		return nil, vnet.TimeoutError("read", host)
-	case u < p.ExitFailure+p.Stall+p.Truncate:
-		resp, err := t.next.RoundTrip(req)
-		if err != nil {
-			return nil, err
-		}
-		t.in.count("truncate", "vps")
-		truncate(resp, seed)
-		return resp, nil
-	}
-	return t.next.RoundTrip(req)
-}
-
-// truncate mirrors the proxy-level truncation fault for the transport
-// seam: the advertised length disappears and reads die after a
-// seed-determined prefix.
-func truncate(resp *http.Response, seed uint64) {
-	keep := int(stats.Mix64(seed^0x7c1) % 512)
-	if resp.Header != nil {
-		resp.Header = resp.Header.Clone()
-		resp.Header.Del("Content-Length")
-	}
-	resp.ContentLength = -1
-	resp.Body = &truncatedBody{inner: resp.Body, remaining: keep}
-}
-
-type truncatedBody struct {
-	inner     io.ReadCloser
-	remaining int
-}
-
-func (b *truncatedBody) Read(p []byte) (int, error) {
-	if b.remaining <= 0 {
-		return 0, &vnet.OpError{Op: "read", Msg: "connection reset mid-transfer"}
-	}
-	if len(p) > b.remaining {
-		p = p[:b.remaining]
-	}
-	n, err := b.inner.Read(p)
-	b.remaining -= n
-	if err == io.EOF {
-		return n, &vnet.OpError{Op: "read", Msg: "connection reset mid-transfer"}
-	}
-	return n, err
-}
-
-func (b *truncatedBody) Close() error { return b.inner.Close() }
 
 // namedProfiles are the standing chaos scenarios shared by the CLIs
 // (-faults) and the scanner's chaos test matrix.
@@ -371,13 +293,4 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func hashString(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

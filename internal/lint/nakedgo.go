@@ -1,6 +1,6 @@
 // The nakedgo analyzer: no stray goroutines in the scan path. The
-// engine's concurrency is confined to the scheduler's work-stealing
-// pool, where every worker is tied to a WaitGroup so a scan drains
+// engine's concurrency is confined to the scheduler's worker pool,
+// where every worker is tied to a WaitGroup so a scan drains
 // completely before its result is read — the no-deadlock and
 // byte-identical chaos assertions both assume it. A `go func` launched
 // anywhere in the scan path without such a tie can outlive the scan,

@@ -167,13 +167,13 @@ func (s *Study) AnalyzeTimeouts(r *Top10KResult, resamples int) *TimeoutResult {
 // timesOutFromDatacenter probes domain from a datacenter address in cc
 // and reports whether the connection still times out.
 func (s *Study) timesOutFromDatacenter(domain string, cc geo.CountryCode) bool {
-	ip, err := s.World.Geo.DatacenterIP(cc, stats.Mix64(hashStr(domain))%1000)
+	ip, err := s.World.Geo.DatacenterIP(cc, stats.Mix64(stats.FNV1a(domain))%1000)
 	if err != nil {
 		return false
 	}
 	stack := vnet.NewStack(s.World, ip)
 	client := stack.Client(10)
-	seed := stats.Mix64(hashStr(domain) ^ hashStr(string(cc)) ^ 0x7a11)
+	seed := stats.Mix64(stats.FNV1a(domain) ^ stats.FNV1a(string(cc)) ^ 0x7a11)
 	req, err := http.NewRequestWithContext(
 		vnet.WithSampleSeed(s.ctx(), seed),
 		http.MethodGet, "http://"+domain+"/", nil)
@@ -232,13 +232,13 @@ func (s *Study) RunAppLayerStudy(domains []string, ref geo.CountryCode, targets 
 	out := &AppLayerResult{DomainsTested: len(domains)}
 
 	fetch := func(domain string, cc geo.CountryCode, attempt int) (applayer.Observation, bool) {
-		ip, err := s.World.Geo.HostIP(cc, stats.Mix64(hashStr(domain)^hashStr(string(cc)))%100000)
+		ip, err := s.World.Geo.HostIP(cc, stats.Mix64(stats.FNV1a(domain)^stats.FNV1a(string(cc)))%100000)
 		if err != nil {
 			return applayer.Observation{}, false
 		}
 		stack := vnet.NewStack(s.World, ip)
 		client := stack.Client(10)
-		seed := stats.Mix64(hashStr(domain) ^ hashStr(string(cc)) ^ uint64(attempt+1)*0x9e37)
+		seed := stats.Mix64(stats.FNV1a(domain) ^ stats.FNV1a(string(cc)) ^ uint64(attempt+1)*0x9e37)
 		req, err := http.NewRequestWithContext(
 			vnet.WithSampleSeed(s.ctx(), seed),
 			http.MethodGet, "http://"+domain+"/", nil)
@@ -338,7 +338,7 @@ func (s *Study) RunRegionalAnalysis(domains []string, samples int) []RegionalFin
 }
 
 func (s *Study) regionBlockRate(domain string, crimea bool, samples int) (float64, blockpage.Kind) {
-	sess, err := s.Net.NewRegionSession("UA", crimea, hashStr(domain))
+	sess, err := s.Net.NewRegionSession("UA", crimea, stats.FNV1a(domain))
 	if err != nil {
 		return 0, blockpage.KindNone
 	}
@@ -346,7 +346,7 @@ func (s *Study) regionBlockRate(domain string, crimea bool, samples int) (float6
 	blocks, responses := 0, 0
 	kind := blockpage.KindNone
 	for i := 0; i < samples; i++ {
-		seed := stats.Mix64(hashStr(domain) ^ uint64(i+1)*0x517cc1b7 ^ uint64(boolToInt(crimea)))
+		seed := stats.Mix64(stats.FNV1a(domain) ^ uint64(i+1)*0x517cc1b7 ^ uint64(boolToInt(crimea)))
 		req, err := http.NewRequestWithContext(
 			vnet.WithSampleSeed(s.ctx(), seed),
 			http.MethodGet, "http://"+domain+"/", nil)
@@ -386,13 +386,4 @@ func boolToInt(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-func hashStr(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -315,7 +315,7 @@ func (s *Session) RoundTrip(req *http.Request) (*http.Response, error) {
 
 	host := trimHost(req.URL.Hostname())
 	seed, _ := vnet.SampleSeed(req.Context())
-	rng := stats.NewRNG(stats.Mix64(seed) ^ uint64(e.IP) ^ hash(host))
+	rng := stats.NewRNG(stats.Mix64(seed) ^ uint64(e.IP) ^ stats.FNV1a(host))
 
 	// Injected faults sit in front of the mesh's organic error
 	// structure, so a chaos run layers on top of (never replaces) the
@@ -364,7 +364,7 @@ func (s *Session) RoundTrip(req *http.Request) (*http.Response, error) {
 	// Corporate firewalls block a stable slice of domains for the
 	// machines behind them (the paper's suspected source of local
 	// interference, §4.2).
-	if e.CorporateFirewall && stats.Mix64(hash(host)^uint64(e.IP))%100 < 4 {
+	if e.CorporateFirewall && stats.Mix64(stats.FNV1a(host)^uint64(e.IP))%100 < 4 {
 		return nil, &vnet.OpError{Op: "read", Host: host, Msg: "connection reset by local filter"}
 	}
 
@@ -427,22 +427,13 @@ func pathUnreachable(cc geo.CountryCode, host string, db *geo.DB) bool {
 			rate = 80
 		}
 	}
-	h := stats.Mix64(hash(string(cc)) ^ hash(host) ^ 0x9a7)
+	h := stats.Mix64(stats.FNV1a(string(cc)) ^ stats.FNV1a(host) ^ 0x9a7)
 	return h%1000 < rate
 }
 
 func trimHost(h string) string {
 	if len(h) > 4 && h[:4] == "www." {
 		return h[4:]
-	}
-	return h
-}
-
-func hash(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
 	}
 	return h
 }

@@ -99,7 +99,7 @@ func (s *Store) runJournaled(sc Scan, cfg scanner.Config, ph *phaseState) error 
 }
 
 // replayPhase streams ph's committed samples from disk into sink in
-// journal order — which is canonical order, because the emitter
+// journal order — which is canonical order, because the assembly
 // journals shards at their canonical emission point — crediting the
 // sink-layer counters and merging each checkpoint's staged metric
 // snapshot, then returns the per-shard loss reasons for the engine's

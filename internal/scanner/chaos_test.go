@@ -212,7 +212,7 @@ func TestChaosDeterminism(t *testing.T) {
 // deterministic view of the scan's metrics snapshot — counters, error
 // tallies, fault counters, span counts — must be byte-identical at
 // Concurrency 1, 4, and 32. Only the explicitly runtime-class series
-// (steals, worker gauge, latency histogram) may vary with the schedule,
+// (worker gauge, latency histogram) may vary with the schedule,
 // and Deterministic() strips exactly those.
 func TestChaosTelemetryDeterminism(t *testing.T) {
 	domains, countries := smallInputs(48)

@@ -19,7 +19,6 @@ const (
 	// Scheduler layer.
 	MetShardsScheduled = "scanner.sched.shards_scheduled"
 	MetShardsDone      = "scanner.sched.shards_done"
-	MetSteals          = "scanner.sched.steals"  // runtime: depends on worker timing
 	MetWorkers         = "scanner.sched.workers" // runtime gauge
 
 	// Sink layer (counted at canonical-order delivery).

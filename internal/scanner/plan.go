@@ -4,7 +4,7 @@
 // output stream.
 //
 // scanner.Run is the single-process composition of these pieces —
-// NewPlan, NewAssembly, and the work-stealing pool — and the distributed
+// NewPlan, NewAssembly, and the in-process pool — and the distributed
 // fabric (internal/fabric) is the multi-process one. Both produce
 // byte-identical output because they share the shard boundaries, the
 // sticky-session slots, the per-unit executor, the reorder frontier,
@@ -126,13 +126,13 @@ func (p *Plan) Units() []WorkUnit {
 // contents (domain strings and country indices) and the sampling
 // parameters that shape its output.
 func (p *Plan) unitFingerprint(sh *shard) uint64 {
-	h := hash("geoblock-unit")
-	h = stats.Mix64(h ^ hash(string(p.countries[sh.group])))
-	h = stats.Mix64(h ^ hash(p.cfg.Phase))
+	h := stats.FNV1a("geoblock-unit")
+	h = stats.Mix64(h ^ stats.FNV1a(string(p.countries[sh.group])))
+	h = stats.Mix64(h ^ stats.FNV1a(p.cfg.Phase))
 	h = stats.Mix64(h ^ uint64(sh.index)<<1 ^ sh.slot)
 	h = stats.Mix64(h ^ uint64(p.cfg.Samples)<<8 ^ uint64(p.cfg.Retries)<<16)
 	for _, t := range sh.tasks {
-		h = stats.Mix64(h ^ hash(p.domains[t.Domain]) ^ uint64(uint16(t.Country))<<32)
+		h = stats.Mix64(h ^ stats.FNV1a(p.domains[t.Domain]) ^ uint64(uint16(t.Country))<<32)
 	}
 	return h
 }
@@ -142,7 +142,7 @@ func (p *Plan) unitFingerprint(sh *shard) uint64 {
 // A coordinator and a worker whose plan fingerprints agree will agree
 // on every unit.
 func (p *Plan) Fingerprint() uint64 {
-	h := hash("geoblock-plan")
+	h := stats.FNV1a("geoblock-plan")
 	h = stats.Mix64(h ^ uint64(len(p.domains)) ^ uint64(len(p.countries))<<20)
 	h = stats.Mix64(h ^ uint64(p.cfg.ShardSize) ^ uint64(p.cfg.RequestsPerExit)<<16 ^ uint64(p.cfg.MaxRedirects)<<32)
 	h = stats.Mix64(h ^ uint64(p.cfg.Bodies)<<4)
@@ -155,7 +155,7 @@ func (p *Plan) Fingerprint() uint64 {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		h = stats.Mix64(h ^ hash(k) ^ hash(p.cfg.Headers[k])<<1)
+		h = stats.Mix64(h ^ stats.FNV1a(k) ^ stats.FNV1a(p.cfg.Headers[k])<<1)
 	}
 	for _, sh := range p.shards {
 		h = stats.Mix64(h ^ p.unitFingerprint(sh))
@@ -214,19 +214,29 @@ func (p *Plan) ExecuteUnit(ctx context.Context, net *proxy.Network, seq int) (Un
 // Assembly reassembles unit completions — arriving in any order, from
 // any number of executors — into the engine's canonical-order sink
 // stream. It is the one place that credits the resumed prefix, opens
-// and tallies the country spans, counts scheduled and done shards, and
-// runs the outage and coverage tail, for the in-process pool (Run,
-// RunVPS) and the fabric alike. Completions are accepted under an
-// internal lock; the sink itself still sees strictly sequential
-// canonical-order delivery, exactly as the engine's determinism
-// contract promises.
+// and tallies the country spans, counts scheduled and done shards,
+// holds the reorder frontier, and runs the outage and coverage tail,
+// for the in-process pool (Run, RunVPS) and the fabric alike.
+// Completions are accepted under one lock that also serializes
+// emission, so the sink sees strictly sequential canonical-order
+// delivery, exactly as the engine's determinism contract promises.
 type Assembly struct {
-	mu       sync.Mutex
-	plan     *Plan
-	sink     Sink
-	em       *emitter
-	sp       *telemetry.Span
-	skip     int
+	plan *Plan
+	sink Sink
+	sp   *telemetry.Span
+	skip int
+
+	mu   sync.Mutex
+	done []bool // done[seq]: pending unit seq has been folded in
+	next int    // the reorder frontier: units emitted so far
+	// wake, on mu, wakes the in-process pool's workers waiting on the
+	// reorder window (see run) when the frontier advances.
+	wake *sync.Cond
+	// stop, when closed, ends emission at the next shard boundary: the
+	// in-process pool sets it to its ctx.Done(), so a cancelled scan
+	// leaves the sink a prefix of whole shards and delivers no buffered
+	// shard after the cancellation.
+	stop     <-chan struct{}
 	finished bool
 }
 
@@ -254,8 +264,9 @@ func NewAssembly(p *Plan, sink Sink) (*Assembly, error) {
 	if len(p.shards) > 0 {
 		p.cfg.Metrics.Counter(MetShardsScheduled).Add(int64(len(p.shards)))
 	}
-	em := newEmitter(sink, p.shards, skip, p.cfg.Metrics, p.cfg.Trace, ScanTraceCtx(p.cfg), p.cfg.Phase)
-	return &Assembly{plan: p, sink: sink, em: em, sp: sp, skip: skip}, nil
+	a := &Assembly{plan: p, sink: sink, sp: sp, skip: skip, done: make([]bool, len(p.shards)), next: skip}
+	a.wake = sync.NewCond(&a.mu)
+	return a, nil
 }
 
 // Pending lists the unit sequence numbers still to execute, in
@@ -280,75 +291,26 @@ func (a *Assembly) Complete(seq int, res UnitResult) error {
 	if seq < a.skip || seq >= len(a.plan.shards) {
 		return fmt.Errorf("scanner: completion of unit %d outside pending range %d..%d", seq, a.skip, len(a.plan.shards)-1)
 	}
-	if a.em.completed(seq) {
+	if a.done[seq] {
 		return fmt.Errorf("scanner: duplicate completion of unit %d", seq)
 	}
 	var staging *telemetry.Registry
 	if res.Metrics != nil && a.plan.cfg.Metrics != nil {
 		// Rehydrate the unit's staged metrics into a shard-local registry
-		// so the emitter's merge-at-emission and ShardDone.Metrics bytes
-		// match an in-process run exactly.
+		// so the merge-at-emission and ShardDone.Metrics bytes match an
+		// in-process run exactly.
 		staging = telemetry.NewWithClock(a.plan.cfg.Metrics.Clock())
 		staging.Merge(res.Metrics)
 	}
-	a.fold(seq, res, staging)
+	a.foldLocked(seq, res, staging)
 	return nil
-}
-
-// fold credits one executed unit — its country-span activation, timed
-// by the unit's own execution, and the shards-done counter — and hands
-// it to the reorder frontier. Activations merge by name, so a country
-// node's count reads "shards run" and its outcome tally aggregates the
-// per-shard fates. staging is the unit's shard-local registry, nil when
-// nothing was staged.
-func (a *Assembly) fold(seq int, res UnitResult, staging *telemetry.Registry) {
-	sh := a.plan.shards[seq]
-	sh.country = a.plan.country(sh)
-	sh.out, sh.lost, sh.events, sh.staging = res.Samples, res.Lost, res.Trace, staging
-	a.sp.Record(sh.country, sh.lost.outcome(), res.Elapsed)
-	a.plan.cfg.Metrics.Counter(MetShardsDone).Add(1)
-	a.em.complete(sh)
-}
-
-// run executes the pending units on the in-process work-stealing pool
-// and folds each as it finishes, then closes the assembly: Finish's
-// tail (with the outage and coverage accounting when outages is set)
-// after a full run, Abort after a cancelled one, whose emission stops
-// at the first shard boundary after ctx is cancelled. A unit's metrics are
-// staged in a shard-local registry only when the sink is a ShardSink
-// that needs each shard's own contribution; otherwise they record
-// straight into the plan's registry.
-func (a *Assembly) run(ctx context.Context, scan shardScan, outages bool) error {
-	p := a.plan
-	_, journaling := a.sink.(ShardSink)
-	stage := journaling && p.cfg.Metrics != nil
-	a.em.stop = ctx.Done()
-	err := schedule(ctx, a.Pending(), p.cfg.Concurrency, func(ctx context.Context, seq int) {
-		reg := p.cfg.Metrics
-		if stage {
-			reg = telemetry.NewWithClock(reg.Clock())
-		}
-		res, err := p.execute(ctx, seq, reg, scan)
-		if err != nil {
-			return
-		}
-		if !stage {
-			reg = nil
-		}
-		a.fold(seq, res, reg)
-	}, a.em)
-	if err != nil {
-		a.Abort()
-		return err
-	}
-	return a.finish(outages)
 }
 
 // Done reports whether every unit has been emitted.
 func (a *Assembly) Done() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.em.frontier() == len(a.plan.shards)
+	return a.next == len(a.plan.shards)
 }
 
 // Finish closes the scan span and runs the end-of-run outage and
@@ -364,8 +326,8 @@ func (a *Assembly) finish(outages bool) error {
 	if a.finished {
 		return fmt.Errorf("scanner: assembly finished twice")
 	}
-	if n := a.em.frontier(); n != len(a.plan.shards) {
-		return fmt.Errorf("scanner: assembly finished with %d of %d units outstanding", len(a.plan.shards)-n, len(a.plan.shards))
+	if a.next != len(a.plan.shards) {
+		return fmt.Errorf("scanner: assembly finished with %d of %d units outstanding", len(a.plan.shards)-a.next, len(a.plan.shards))
 	}
 	a.finished = true
 	a.sp.End()
@@ -500,19 +462,4 @@ func accountOutages(shards []*shard, countries []geo.CountryCode) ([]Outage, Cov
 		}
 	}
 	return outages, cov
-}
-
-// completed reports whether seq has already been completed.
-func (e *emitter) completed(seq int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.done[seq]
-}
-
-// frontier reports how many shards have been emitted in canonical
-// order.
-func (e *emitter) frontier() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.next
 }

@@ -17,7 +17,7 @@ import (
 // prefix of the full run, made of whole shards), nil otherwise.
 //
 // Run is the single-process composition of the plan layer: NewPlan
-// decomposes the scan, the work-stealing pool executes its units, and
+// decomposes the scan, the in-process pool executes its units, and
 // an Assembly folds them back into canonical order — the same per-unit
 // path a fabric coordinator drives across processes.
 //

@@ -12,9 +12,10 @@
 // into four composable layers:
 //
 //   - Scheduler (sched.go): shards each country's task list into
-//     deterministic chunks and work-steals across shards, so one large
-//     country no longer serializes a run and parallelism scales with
-//     cores rather than country count.
+//     deterministic chunks that the pool claims lowest-seq-first behind
+//     a bounded reorder window, so one large country no longer
+//     serializes a run, parallelism scales with cores rather than
+//     country count, and completed-but-unemitted shards stay bounded.
 //   - Session (session.go): sticky proxy-session acquisition, the
 //     connectivity pre-check loop, and per-exit budget rotation under
 //     an explicit RetryPolicy.
@@ -302,11 +303,6 @@ type Config struct {
 	// (see ScanTraceCtx). Either way every party derives identical
 	// per-unit contexts.
 	TraceCtx trace.SpanCtx
-	// TraceWall, when non-nil, stamps unit events with wall time —
-	// runtime-class information, stripped from the deterministic trace
-	// view. The CLIs pass the tracer's wall clock; deterministic tests
-	// leave it nil and wall stamps stay zero.
-	TraceWall telemetry.Clock
 	// Resume, when non-nil, marks a canonical-order prefix of the
 	// scan's shards as already measured by an earlier run. The engine
 	// skips their work entirely — the journal layer replays their
@@ -457,14 +453,5 @@ func CrossProduct(nDomains, nCountries int) []Task {
 
 // sampleSeed derives the deterministic per-sample seed.
 func sampleSeed(domain, country, phase string, attempt int) uint64 {
-	return stats.Mix64(hash(domain) ^ hash(country)<<1 ^ hash(phase)<<2 ^ uint64(attempt+1)*0x100000001b3)
-}
-
-func hash(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+	return stats.Mix64(stats.FNV1a(domain) ^ stats.FNV1a(country)<<1 ^ stats.FNV1a(phase)<<2 ^ uint64(attempt+1)*0x100000001b3)
 }

@@ -1,5 +1,6 @@
-// The scheduler layer: deterministic sharding and a work-stealing
-// worker pool with canonical-order emission.
+// The scheduler layer: deterministic sharding, the in-process pool's
+// lowest-seq-first claim loop behind a bounded reorder window, and
+// canonical-order emission.
 package scanner
 
 import (
@@ -7,9 +8,16 @@ import (
 	"strconv"
 	"sync"
 
+	"geoblock/internal/stats"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
 )
+
+// windowPerWorker sizes the in-process pool's reorder window: a worker
+// may start unit seq only while seq < frontier + windowPerWorker×workers,
+// so at most that many completed units ever wait behind a slow frontier
+// unit.
+const windowPerWorker = 4
 
 // shard is one schedulable unit: a contiguous chunk of one group's
 // (country's or VPS's) task list. Shards are fully independent — each
@@ -67,213 +75,172 @@ func buildShards(tasks []Task, groups, shardSize int, slotFor func(group int16, 
 // shard index) — the determinism anchor: a shard lands on the same
 // exits no matter which worker runs it, or when.
 func shardSlot(country, phase string, index int) uint64 {
-	return hash(country + "/" + phase + "/" + strconv.Itoa(index))
+	return stats.FNV1a(country + "/" + phase + "/" + strconv.Itoa(index))
 }
 
-// deque is one worker's queue of unit sequence numbers. The owner pops
-// from the front (low canonical sequence first); thieves steal from the
-// back, so a skewed country's tail chunks migrate to idle workers.
-type deque struct {
-	mu   sync.Mutex
-	seqs []int
-}
+// run executes the pending units on the in-process pool and folds each
+// as it finishes, then closes the assembly: Finish's tail (with the
+// outage and coverage accounting when outages is set) after a full run,
+// Abort after a cancelled one, whose emission stops at the first shard
+// boundary after ctx is cancelled.
+//
+// The pool follows the fabric coordinator's grant policy: workers claim
+// the lowest pending seq from one shared cursor, so the reorder frontier
+// trails the claims closely. The window bounds the rest — a worker waits
+// before claiming a unit windowPerWorker×workers or more past the
+// frontier, and wakes when the frontier advances or ctx is cancelled.
+// Claims go lowest-first, so the frontier unit is always already
+// claimed and the window cannot deadlock the pool.
+//
+// A unit's metrics are staged in a shard-local registry only when the
+// sink is a ShardSink that needs each shard's own contribution;
+// otherwise they record straight into the plan's registry.
+func (a *Assembly) run(ctx context.Context, scan shardScan, outages bool) error {
+	p := a.plan
+	_, journaling := a.sink.(ShardSink)
+	stage := journaling && p.cfg.Metrics != nil
+	workers := min(p.cfg.Concurrency, len(p.shards)-a.skip)
+	if workers > 0 {
+		// The worker count follows Concurrency, so its gauge is
+		// runtime-class.
+		p.cfg.Metrics.RuntimeGauge(MetWorkers).Set(int64(workers))
+	}
+	window := windowPerWorker * workers
+	a.stop = ctx.Done()
+	defer context.AfterFunc(ctx, func() {
+		a.mu.Lock()
+		a.wake.Broadcast()
+		a.mu.Unlock()
+	})()
 
-func (d *deque) popFront() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.seqs) == 0 {
-		return 0, false
-	}
-	seq := d.seqs[0]
-	d.seqs = d.seqs[1:]
-	return seq, true
-}
-
-func (d *deque) stealBack() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.seqs) == 0 {
-		return 0, false
-	}
-	seq := d.seqs[len(d.seqs)-1]
-	d.seqs = d.seqs[:len(d.seqs)-1]
-	return seq, true
-}
-
-// emitter delivers completed shards to the sink in canonical order: a
-// reorder frontier holds out-of-order completions until every earlier
-// shard has been emitted. Emit is therefore always called sequentially
-// and in the same order regardless of scheduling.
-type emitter struct {
-	mu        sync.Mutex
-	sink      Sink
-	shardSink ShardSink // sink's ShardSink side, when it has one
-	shards    []*shard
-	done      []bool
-	next      int
-	reg       *telemetry.Registry
-	// tr/scanCtx/phase carry the trace wiring: staged unit events are
-	// appended (and the per-shard "sink.emit" event recorded) inside
-	// the frontier loop, which is what makes the merged stream's order
-	// canonical regardless of scheduling or process count.
-	tr      *trace.Tracer
-	scanCtx trace.SpanCtx
-	phase   string
-	// stop, when closed, ends emission at the next shard boundary: the
-	// in-process pool sets it to its ctx.Done(), so a cancelled scan
-	// leaves the sink a prefix of whole shards and delivers no buffered
-	// shard after the cancellation.
-	stop <-chan struct{}
-}
-
-// newEmitter builds the Assembly's canonical-order emitter, whose
-// emission-time accounting — metrics merge, ShardDone, trace append —
-// is therefore identical in process and on the fabric.
-func newEmitter(sink Sink, shards []*shard, skip int, reg *telemetry.Registry, tr *trace.Tracer, scanCtx trace.SpanCtx, phase string) *emitter {
-	done := make([]bool, len(shards))
-	for i := 0; i < skip; i++ {
-		done[i] = true
-	}
-	em := &emitter{sink: sink, shards: shards, done: done, next: skip, reg: reg, tr: tr, scanCtx: scanCtx, phase: phase}
-	em.shardSink, _ = sink.(ShardSink)
-	return em
-}
-
-func (e *emitter) complete(sh *shard) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.done[sh.seq] = true
-	for e.next < len(e.shards) && e.done[e.next] {
-		select {
-		case <-e.stop:
-			return
-		default:
-		}
-		ready := e.shards[e.next]
-		for i := range ready.out {
-			e.sink.Emit(ready.out[i])
-		}
-		if e.reg != nil {
-			var bytes int64
-			for i := range ready.out {
-				bytes += int64(ready.out[i].BodyLen)
-			}
-			e.reg.Counter(MetSinkSamples).Add(int64(len(ready.out)))
-			e.reg.Counter(MetSinkBytes).Add(bytes)
-		}
-		if ready.staging != nil {
-			// Fold the shard's staged metrics into the main registry at
-			// the canonical emission point. Merging is commutative, so
-			// the totals equal a run that recorded them live.
-			e.reg.Merge(ready.staging.Snapshot())
-		}
-		if e.shardSink != nil {
-			var det *telemetry.Snapshot
-			if ready.staging != nil {
-				det = ready.staging.Snapshot().Deterministic()
-			}
-			e.shardSink.EmitShardDone(ShardDone{
-				Seq:     ready.seq,
-				Country: ready.country,
-				Tasks:   len(ready.tasks),
-				Samples: len(ready.out),
-				Lost:    ready.lost,
-				Metrics: det,
-			})
-		}
-		if e.tr != nil {
-			// Same canonical point as the metrics merge: unit events land
-			// in frontier order, then the emission itself is recorded.
-			e.tr.Append(ready.events)
-			virt, wall := e.tr.Now()
-			ev := trace.NewEvent(e.scanCtx.Child("sink.emit", ready.seq), "sink.emit")
-			ev.Parent = e.scanCtx.Span
-			ev.Unit = ready.seq
-			ev.Country = ready.country
-			ev.Phase = e.phase
-			ev.Outcome = ready.lost.outcome()
-			ev.VirtNS = virt
-			ev.WallNS = wall
-			ev.Attrs = []trace.Attr{{K: "samples", V: strconv.Itoa(len(ready.out))}}
-			e.tr.Record(ev)
-		}
-		ready.out = nil // release bodies as soon as the sink has seen them
-		ready.staging = nil
-		ready.events = nil
-		e.next++
-	}
-}
-
-// schedule fans the pending units out over a work-stealing pool,
-// calling run once per unit; run owns everything that happens to the
-// unit's result (see Assembly.run). On context cancellation workers
-// stop picking up units and schedule returns ctx.Err(). The pool only
-// records its runtime-class metrics — the worker gauge and steals —
-// and, through em's trace wiring, one "steal" event per migrated unit.
-func schedule(ctx context.Context, pending []int, workers int, run func(context.Context, int), em *emitter) error {
-	if len(pending) == 0 {
-		return ctx.Err()
-	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Steal counts and the worker gauge depend on scheduling, so they
-	// are runtime-class.
-	em.reg.RuntimeGauge(MetWorkers).Set(int64(workers))
-	steals := em.reg.RuntimeCounter(MetSteals)
-
-	// Round-robin distribution: unit i starts on worker i%workers, so a
-	// giant country's chunks are spread across the pool from the start
-	// and stealing only handles residual imbalance.
-	deques := make([]*deque, workers)
-	for w := range deques {
-		deques[w] = &deque{}
-	}
-	for i, seq := range pending {
-		d := deques[i%workers]
-		d.seqs = append(d.seqs, seq)
-	}
-
+	cursor := a.skip // next unclaimed seq, guarded by a.mu
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for {
-				if ctx.Err() != nil {
+				a.mu.Lock()
+				for ctx.Err() == nil && cursor < len(p.shards) && cursor >= a.next+window {
+					a.wake.Wait()
+				}
+				if ctx.Err() != nil || cursor == len(p.shards) {
+					a.mu.Unlock()
 					return
 				}
-				seq, ok := deques[w].popFront()
-				if !ok {
-					for off := 1; off < workers && !ok; off++ {
-						seq, ok = deques[(w+off)%workers].stealBack()
-					}
-					if ok {
-						steals.Add(1)
-						if em.tr != nil {
-							// Which unit migrates depends entirely on
-							// scheduling — runtime-class by definition.
-							ev := trace.NewEvent(em.scanCtx.Child("steal", seq), "steal")
-							ev.Parent = em.scanCtx.Span
-							ev.Unit = seq
-							ev.Phase = em.phase
-							ev.Runtime = true
-							_, ev.WallNS = em.tr.Now()
-							ev.Attrs = []trace.Attr{{K: "worker", V: strconv.Itoa(w)}}
-							em.tr.Record(ev)
-						}
-					}
+				seq := cursor
+				cursor++
+				a.mu.Unlock()
+
+				reg := p.cfg.Metrics
+				if stage {
+					reg = telemetry.NewWithClock(reg.Clock())
 				}
-				if !ok {
-					return // pool drained: the unit set is static
+				res, err := p.execute(ctx, seq, reg, scan)
+				if err != nil {
+					return
 				}
-				run(ctx, seq)
+				if !stage {
+					reg = nil
+				}
+				a.mu.Lock()
+				a.foldLocked(seq, res, reg)
+				a.mu.Unlock()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		a.Abort()
+		return err
+	}
+	return a.finish(outages)
+}
+
+// foldLocked credits one executed unit — its country-span activation,
+// timed by the unit's own execution, and the shards-done counter — and
+// emits every unit the reorder frontier can now pass. Activations merge
+// by name, so a country node's count reads "shards run" and its outcome
+// tally aggregates the per-shard fates. staging is the unit's
+// shard-local registry, nil when nothing was staged.
+func (a *Assembly) foldLocked(seq int, res UnitResult, staging *telemetry.Registry) {
+	p := a.plan
+	sh := p.shards[seq]
+	sh.country = p.country(sh)
+	sh.out, sh.lost, sh.events, sh.staging = res.Samples, res.Lost, res.Trace, staging
+	a.sp.Record(sh.country, sh.lost.outcome(), res.Elapsed)
+	p.cfg.Metrics.Counter(MetShardsDone).Add(1)
+	a.done[seq] = true
+	from := a.next
+	for a.next < len(p.shards) && a.done[a.next] {
+		select {
+		case <-a.stop:
+			return
+		default:
+		}
+		a.emitLocked(p.shards[a.next])
+		a.next++
+	}
+	if a.next > from {
+		a.wake.Broadcast()
+	}
+}
+
+// emitLocked delivers one shard at the frontier: its samples to the
+// sink, then the emission-time accounting — sink counters, the staged
+// metrics merge, ShardDone, and the staged trace events — which is
+// therefore identical in process and on the fabric.
+func (a *Assembly) emitLocked(sh *shard) {
+	cfg := &a.plan.cfg
+	for i := range sh.out {
+		a.sink.Emit(sh.out[i])
+	}
+	if cfg.Metrics != nil {
+		var bytes int64
+		for i := range sh.out {
+			bytes += int64(sh.out[i].BodyLen)
+		}
+		cfg.Metrics.Counter(MetSinkSamples).Add(int64(len(sh.out)))
+		cfg.Metrics.Counter(MetSinkBytes).Add(bytes)
+	}
+	if sh.staging != nil {
+		// Fold the shard's staged metrics into the main registry at the
+		// canonical emission point. Merging is commutative, so the totals
+		// equal a run that recorded them live.
+		cfg.Metrics.Merge(sh.staging.Snapshot())
+	}
+	if ss, ok := a.sink.(ShardSink); ok {
+		var det *telemetry.Snapshot
+		if sh.staging != nil {
+			det = sh.staging.Snapshot().Deterministic()
+		}
+		ss.EmitShardDone(ShardDone{
+			Seq:     sh.seq,
+			Country: sh.country,
+			Tasks:   len(sh.tasks),
+			Samples: len(sh.out),
+			Lost:    sh.lost,
+			Metrics: det,
+		})
+	}
+	if cfg.Trace != nil {
+		// Same canonical point as the metrics merge: unit events land in
+		// frontier order, then the emission itself is recorded.
+		cfg.Trace.Append(sh.events)
+		scanCtx := ScanTraceCtx(*cfg)
+		virt, wall := cfg.Trace.Now()
+		ev := trace.NewEvent(scanCtx.Child("sink.emit", sh.seq), "sink.emit")
+		ev.Parent = scanCtx.Span
+		ev.Unit = sh.seq
+		ev.Country = sh.country
+		ev.Phase = cfg.Phase
+		ev.Outcome = sh.lost.outcome()
+		ev.VirtNS = virt
+		ev.WallNS = wall
+		ev.Attrs = []trace.Attr{{K: "samples", V: strconv.Itoa(len(sh.out))}}
+		cfg.Trace.Record(ev)
+	}
+	sh.out = nil // release bodies as soon as the sink has seen them
+	sh.staging = nil
+	sh.events = nil
 }

@@ -3,10 +3,14 @@ package scanner
 import (
 	"context"
 	"errors"
+	"net/http"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
+	"geoblock/internal/telemetry"
 	"geoblock/internal/vnet"
 	"geoblock/internal/worldgen"
 )
@@ -110,10 +114,10 @@ func TestCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestLoadBoundUnderStealing asserts the §3.2 per-exit budget survives
-// the work-stealing scheduler: within every country, no exit serves a
-// longer consecutive stretch than RequestsPerExit samples.
-func TestLoadBoundUnderStealing(t *testing.T) {
+// TestLoadBoundAtHighConcurrency asserts the §3.2 per-exit budget
+// survives a wide pool: within every country, no exit serves a longer
+// consecutive stretch than RequestsPerExit samples.
+func TestLoadBoundAtHighConcurrency(t *testing.T) {
 	domains, countries := smallInputs(64)
 	tasks := skewedTasks(len(domains), len(countries))
 	cfg := testConfig()
@@ -195,6 +199,77 @@ func TestCancellation(t *testing.T) {
 	}
 	if len(c.Samples) != 0 {
 		t.Fatalf("cancelled scan emitted %d samples", len(c.Samples))
+	}
+}
+
+// frontierWatch is a ShardSink that records, at every checkpoint, how
+// many completed shards are waiting on the reorder frontier: the
+// shards-done counter (credited at completion) less the shards already
+// emitted.
+type frontierWatch struct {
+	done    *telemetry.Counter
+	emitted int64
+	peak    int64
+}
+
+func (f *frontierWatch) Emit(Sample) {}
+
+func (f *frontierWatch) EmitShardDone(ShardDone) {
+	if n := f.done.Value() - f.emitted; n > f.peak {
+		f.peak = n
+	}
+	f.emitted++
+}
+
+// TestReorderWindowBoundsBuffering holds the frontier unit back and
+// pins how far the pool may run ahead of it: completed-but-unemitted
+// shards never exceed the reorder window of windowPerWorker×workers.
+// Shard 0's first fetch spins until the pool can make no further
+// progress, so the peak is observed at its worst without any sleep.
+func TestReorderWindowBoundsBuffering(t *testing.T) {
+	domains, countries := smallInputs(256)
+	tasks := CrossProduct(len(domains), len(countries))
+	for _, conc := range []int{8, 16} {
+		reg := telemetry.New()
+		cfg := testConfig()
+		cfg.Samples = 1
+		cfg.ShardSize = 4
+		cfg.Concurrency = conc
+		cfg.Metrics = reg
+		total := int64(len(tasks) / cfg.ShardSize)
+		window := int64(windowPerWorker * conc)
+		done := reg.Counter(MetShardsDone)
+		frontierSeed := sampleSeed(domains[0], string(countries[0]), cfg.Phase, 0)
+		var started atomic.Int64
+		// The pool has stalled once every other shard is done, or once
+		// the window's other shards are done and no shard past the window
+		// has started.
+		stalled := func() bool {
+			n := done.Value()
+			return n == total-1 || n >= window-1 && started.Load() <= window
+		}
+		var held atomic.Bool
+		cfg.WrapTransport = func(rt http.RoundTripper) http.RoundTripper {
+			started.Add(1) // one fetcher per shard with a session
+			return roundTripFunc(func(req *http.Request) (*http.Response, error) {
+				if seed, _ := vnet.SampleSeed(req.Context()); seed == frontierSeed && held.CompareAndSwap(false, true) {
+					for !stalled() {
+						runtime.Gosched()
+					}
+				}
+				return rt.RoundTrip(req)
+			})
+		}
+		sink := &frontierWatch{done: done}
+		if err := Run(context.Background(), testNet, domains, countries, tasks, cfg, sink); err != nil {
+			t.Fatalf("concurrency %d: %v", conc, err)
+		}
+		if sink.emitted != total || !held.Load() {
+			t.Fatalf("concurrency %d: emitted %d of %d shards (frontier held: %v)", conc, sink.emitted, total, held.Load())
+		}
+		if sink.peak > window {
+			t.Fatalf("concurrency %d: %d completed shards waited on the frontier, window is %d", conc, sink.peak, window)
+		}
 	}
 }
 

@@ -34,12 +34,13 @@ func UnitTraceCtx(scanCtx trace.SpanCtx, seq int) trace.SpanCtx {
 
 // unitBuffer opens the staging buffer for one shard's events, nil when
 // tracing is off — the engine's hot path then pays one nil test per
-// instrumentation site.
+// instrumentation site. Unit events carry wall stamps when the tracer
+// has a wall clock.
 func unitBuffer(scanCtx trace.SpanCtx, seq int, cfg Config) *trace.Buffer {
 	if !scanCtx.Valid() {
 		return nil
 	}
-	return trace.NewBuffer(UnitTraceCtx(scanCtx, seq), scanCtx.Span, cfg.TraceWall)
+	return trace.NewBuffer(UnitTraceCtx(scanCtx, seq), scanCtx.Span, cfg.Trace.WallClock())
 }
 
 // closeUnit records the shard's closing "unit" event: one wide record

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"geoblock/internal/faults"
+	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
 )
 
@@ -67,11 +68,12 @@ func TestTraceDeterminismAcrossConcurrency(t *testing.T) {
 	}
 }
 
-// TestTraceRuntimeEventsStripped: the raw stream contains runtime-class
-// steal events at high concurrency, and the deterministic view does
-// not — the same split the telemetry layer enforces.
+// TestTraceRuntimeEventsStripped: with a wall clock on the tracer, the
+// raw stream carries runtime-class wall stamps on the unit events, and
+// the deterministic view does not — the same split the telemetry layer
+// enforces.
 func TestTraceRuntimeEventsStripped(t *testing.T) {
-	tr := trace.New(trace.Root(7))
+	tr := trace.New(trace.Root(7)).WithWall(telemetry.Wall{})
 	cfg := testConfig()
 	cfg.Concurrency = 16
 	cfg.Trace = tr
@@ -79,6 +81,15 @@ func TestTraceRuntimeEventsStripped(t *testing.T) {
 	tasks := skewedTasks(len(domains), len(countries))
 	if _, err := Scan(context.Background(), testNet, domains, countries, tasks, cfg); err != nil {
 		t.Fatal(err)
+	}
+	stamped := 0
+	for _, ev := range tr.Snapshot().Events {
+		if ev.WallNS != 0 || ev.WallDurNS != 0 {
+			stamped++
+		}
+	}
+	if stamped == 0 {
+		t.Fatal("raw stream carries no wall stamps: nothing for Deterministic() to strip")
 	}
 	det := tr.Snapshot().Deterministic()
 	for _, ev := range det.Events {

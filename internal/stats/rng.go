@@ -254,3 +254,14 @@ func (z *Zipf) Rank() int {
 		}
 	}
 }
+
+// FNV1a is the 64-bit FNV-1a hash of s: the one string hash every
+// seed, slot, and fingerprint in the simulation derives from.
+func FNV1a(s string) uint64 {
+	var h uint64 = 14695981039346656037
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -269,5 +270,21 @@ func TestShuffleKeepsElements(t *testing.T) {
 	}
 	if sum != 21 || len(s) != 6 {
 		t.Fatalf("shuffle lost elements: %v", s)
+	}
+}
+
+// TestFNV1aMatchesStdlib pins FNV1a to the standard 64-bit FNV-1a:
+// every seed, session slot, and fingerprint derives from it, so a drift
+// would move journals and goldens.
+func TestFNV1aMatchesStdlib(t *testing.T) {
+	if got := FNV1a(""); got != 14695981039346656037 {
+		t.Fatalf("FNV1a(\"\") = %d, want the offset basis", got)
+	}
+	for _, s := range []string{"a", "geoblock-trace", "IR/initial/3", "www.example.com"} {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got, want := FNV1a(s), h.Sum64(); got != want {
+			t.Fatalf("FNV1a(%q) = %x, want %x", s, got, want)
+		}
 	}
 }

@@ -7,8 +7,8 @@
 // of the scan inputs — retry tallies, ErrCode counts, injected-fault
 // counters, backoff schedules, shard and sample totals — and under the
 // engine's determinism contract they are identical at any Concurrency.
-// Runtime metrics (work-steal counts, worker gauges, wall-clock
-// latencies) describe one particular execution and legitimately vary
+// Runtime metrics (worker gauges, verdict-edge request counts,
+// wall-clock latencies) describe one particular execution and legitimately vary
 // from run to run; they are registered through the Runtime*
 // constructors and stripped by Snapshot.Deterministic, the view the
 // chaos matrix compares byte for byte.
@@ -141,7 +141,7 @@ func mergeSpan(n *node, s SpanStats) {
 func (r *Registry) Counter(name string) *Counter { return r.counter(name, false) }
 
 // RuntimeCounter returns the named runtime-class counter: one whose
-// value depends on scheduling (work steals, for example) and is
+// value depends on scheduling (verdict-edge lookups, for example) and is
 // excluded from the deterministic snapshot view.
 func (r *Registry) RuntimeCounter(name string) *Counter { return r.counter(name, true) }
 

@@ -58,7 +58,7 @@ func (c SpanCtx) Child(name string, k int) SpanCtx {
 	if !c.Valid() {
 		return SpanCtx{}
 	}
-	h := stats.Mix64(uint64(c.Span) ^ fnv(name))
+	h := stats.Mix64(uint64(c.Span) ^ stats.FNV1a(name))
 	h = stats.Mix64(h ^ (uint64(k)+1)*0x9e3779b97f4a7c15)
 	return SpanCtx{Trace: c.Trace, Span: ID(h)}
 }
@@ -66,7 +66,7 @@ func (c SpanCtx) Child(name string, k int) SpanCtx {
 // Root derives a run's root context from the world seed. Trace and
 // span start out equal: the root span is the trace.
 func Root(seed uint64) SpanCtx {
-	id := ID(stats.Mix64(seed ^ fnv("geoblock-trace")))
+	id := ID(stats.Mix64(seed ^ stats.FNV1a("geoblock-trace")))
 	if id == 0 {
 		id = 1 // the zero ID is the off switch; never hand it out
 	}
@@ -109,7 +109,8 @@ type Event struct {
 	// label, or an error class.
 	Outcome string `json:"outcome,omitempty"`
 	// Runtime marks events whose content or ordering depends on
-	// scheduling (lease traffic, slow-lookup exemplars, steals); they
+	// scheduling (lease traffic, slow-lookup exemplars, worker
+	// lifecycles); they
 	// are stripped from the deterministic view exactly like
 	// runtime-class metrics.
 	Runtime   bool   `json:"runtime,omitempty"`
@@ -130,8 +131,8 @@ func NewEvent(ctx SpanCtx, name string) Event {
 // Buffer stages one unit's events without any locking: each scheduler
 // shard (or fabric work unit) owns exactly one Buffer for its
 // lifetime, so recording is plain appends — the lock-cheap
-// per-goroutine path. The scheduler's emitter (or the fabric's
-// Assembly) hands the finished buffer to the Tracer at the canonical
+// per-goroutine path. The scanner's Assembly, in process or on the
+// fabric, hands the finished buffer to the Tracer at the canonical
 // emission point, which is what keeps the merged stream's order
 // independent of scheduling.
 //
@@ -198,13 +199,4 @@ func (b *Buffer) Events() []Event {
 		return nil
 	}
 	return b.events
-}
-
-func fnv(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -95,7 +95,7 @@ func (s *Stack) RoundTrip(req *http.Request) (*http.Response, error) {
 
 	seed, ok := SampleSeed(req.Context())
 	if !ok {
-		seed = stats.Mix64(hash(host) ^ uint64(s.IP))
+		seed = stats.Mix64(stats.FNV1a(host) ^ uint64(s.IP))
 	}
 
 	loc, _ := s.World.Geo.Locate(s.IP)
@@ -211,12 +211,3 @@ func (b *lazyBody) Read(p []byte) (int, error) {
 }
 
 func (b *lazyBody) Close() error { return nil }
-
-func hash(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}

@@ -183,7 +183,7 @@ func (w *World) ResolveA(name string) (geo.IP, bool) {
 	p := d.Providers[0]
 	lo, hi := infraPool(p)
 	span := uint64(hi - lo)
-	h := stats.Mix64(hashString(name))
+	h := stats.Mix64(stats.FNV1a(name))
 	return lo + geo.IP(h%span), true
 }
 
@@ -204,15 +204,6 @@ func (w *World) NS(name string) []string {
 		}
 	}
 	return []string{"ns1.dns-host.example", "ns2.dns-host.example"}
-}
-
-func hashString(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 func itoa(n int) string {
