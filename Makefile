@@ -1,6 +1,9 @@
 # Development gate for the geoblock reproduction.
 #
-#   make check   the tier-1 gate, in order: build → vet → geolint → test.
+#   make check   the tier-1 gate, in order: gofmt → build → vet → geolint
+#                → test. The gofmt step fails when `gofmt -l` lists any
+#                Go file in the tree (the benchmark's build directory
+#                aside), so formatting drift never lands.
 #                geolint (cmd/geolint, built from internal/lint) machine-
 #                checks the engine's invariants — determinism (including
 #                the cross-package clockflow reachability pass), context
@@ -53,14 +56,19 @@
 # perfbench/README.md.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: check lint lint-json race stress cover fuzz bench profile fabric-test soak
+.PHONY: check fmt-check lint lint-json race stress cover fuzz bench profile fabric-test soak
 
-check:
+check: fmt-check
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) run ./cmd/geolint -baseline lint.baseline ./...
 	$(GO) test ./...
+
+fmt-check:
+	@out=$$(find . -name .git -prune -o -name .bench_build -prune -o -name '*.go' -print | xargs $(GOFMT) -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 lint:
 	$(GO) vet ./...

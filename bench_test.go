@@ -653,12 +653,23 @@ func BenchmarkOriginRender(b *testing.B) {
 	}
 }
 
+// BenchmarkOriginLength times both length paths: Length, and
+// VariantLength of the plain variant, which is what the edge calls for
+// every 200 response.
 func BenchmarkOriginLength(b *testing.B) {
 	site := blockpage.NewOriginSite("bench.example.com", stats.NewRNG(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = site.Length(uint64(i))
-	}
+	b.Run("Length", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = site.Length(uint64(i))
+		}
+	})
+	b.Run("VariantLength", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = site.VariantLength(uint64(i), blockpage.PageVariant{})
+		}
+	})
 }
 
 // --- helpers --------------------------------------------------------------

@@ -2,6 +2,7 @@ package blockpage
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"geoblock/internal/stats"
@@ -127,10 +128,26 @@ func (s *OriginSite) Price(v PageVariant) string {
 	return fmt.Sprintf("%09.2f", s.basePrice()*f)
 }
 
+const (
+	checkoutLink  = `<a href="/checkout">Checkout</a>`
+	checkoutGated = `<span class="region-notice">Checkout is not available in your region.</span>`
+)
+
+// priceWidth is len(s.Price(v)) without building the string: %09.2f
+// pads to nine bytes, and only a price past 999999.99 is wider.
+func (s *OriginSite) priceWidth(v PageVariant) int {
+	f := v.PriceFactor
+	if f == 0 {
+		f = 1
+	}
+	var buf [32]byte
+	return max(9, len(strconv.AppendFloat(buf[:0], s.basePrice()*f, 'f', 2, 64)))
+}
+
 func (s *OriginSite) headVariant(v PageVariant) string {
-	commerce := `<a href="/checkout">Checkout</a>`
+	commerce := checkoutLink
 	if v.Restricted {
-		commerce = `<span class="region-notice">Checkout is not available in your region.</span>`
+		commerce = checkoutGated
 	}
 	return fmt.Sprintf(`<!DOCTYPE html>
 <html lang="en">
@@ -178,9 +195,19 @@ func (s *OriginSite) Length(sampleSeed uint64) int {
 	return s.headLen + s.fillerLen + s.footLen + s.dynamicLen(sampleSeed)
 }
 
-// VariantLength is Length for an application-layer variant.
+// VariantLength is Length for an application-layer variant. The head
+// is the cached headLen of the plain page adjusted by the width
+// differences of the commerce snippet and of the two price fields, so
+// it stays O(1) and, for the plain variant, allocation-free.
 func (s *OriginSite) VariantLength(sampleSeed uint64, v PageVariant) int {
-	return len(s.headVariant(v)) + s.fillerLen + s.footLen + s.dynamicLen(sampleSeed)
+	head := s.headLen
+	if v.Restricted {
+		head += len(checkoutGated) - len(checkoutLink)
+	}
+	if v.PriceFactor != 0 {
+		head += 2 * (s.priceWidth(v) - s.priceWidth(PageVariant{}))
+	}
+	return head + s.fillerLen + s.footLen + s.dynamicLen(sampleSeed)
 }
 
 // Render produces the page for one request. The same (site, sampleSeed)

@@ -15,8 +15,8 @@
 package cdn
 
 import (
-	"fmt"
 	"net/http"
+	"strconv"
 
 	"geoblock/internal/blockpage"
 	"geoblock/internal/geo"
@@ -67,32 +67,37 @@ func Serve(w *worldgen.World, req Request) Response {
 		loc = geo.Location{}
 	}
 	loc = maybeMisgeolocate(w, loc, req.ClientIP)
-	countryName := w.Geo.Name(loc.Country)
 
+	// The Ray ID and the nonce share one string, which is also
+	// CloudFront's request ID.
+	ids := rayAndNonce(rng.Uint64(), uint32(rng.Uint64()))
 	vars := blockpage.Vars{
-		Domain:      d.Name,
-		Path:        req.Path,
-		ClientIP:    req.ClientIP.String(),
-		CountryName: countryName,
-		RayID:       fmt.Sprintf("%016x", rng.Uint64()),
-		Nonce:       fmt.Sprintf("%08x", uint32(rng.Uint64())),
+		Domain: d.Name,
+		Path:   req.Path,
+		RayID:  ids[:16],
+		Nonce:  ids[16:],
 	}
 
-	header := make(http.Header)
+	// Headers are assigned under their canonical keys, which is what
+	// Header.Set would store them under, minus the canonicalization.
+	header := make(http.Header, 8)
 	for _, p := range d.Providers {
-		addProviderHeaders(header, p, req, vars)
+		addProviderHeaders(header, p, req, ids)
 	}
-	header.Set("Content-Type", "text/html; charset=utf-8")
+	header["Content-Type"] = hdrHTML
 
 	// Access control runs at first contact, before any redirect: a
 	// blocked client never sees the redirect chain.
-	if resp, denied := applyAccessControl(w, d, req, loc, vars, header, rng); denied {
-		return resp
+	if kind := accessDenial(w, d, req, loc, rng); kind != blockpage.KindNone {
+		vars.ClientIP = req.ClientIP.String()
+		vars.CountryName = w.Geo.Name(loc.Country)
+		body := blockpage.Render(kind, vars)
+		return page(kind.Status(), header, kind, func() string { return body }, len(body), "")
 	}
 
 	// Same-site redirect hops: http→https, then apex→www.
 	if next := redirectLocation(d, req); next != "" {
-		header.Set("Location", next)
+		header["Location"] = []string{next}
 		const movedBody = "<html><head><title>301 Moved Permanently</title></head><body>moved</body></html>\n"
 		return page(301, header, blockpage.KindNone, func() string {
 			return movedBody
@@ -129,7 +134,7 @@ func Serve(w *worldgen.World, req Request) Response {
 }
 
 func page(status int, h http.Header, kind blockpage.Kind, body func() string, n int, redirect string) Response {
-	h.Set("Content-Length", fmt.Sprintf("%d", n))
+	h["Content-Length"] = []string{strconv.Itoa(n)}
 	return Response{
 		Status:   status,
 		Header:   h,
@@ -140,14 +145,9 @@ func page(status int, h http.Header, kind blockpage.Kind, body func() string, n 
 	}
 }
 
-func blockResponse(kind blockpage.Kind, vars blockpage.Vars, h http.Header) Response {
-	body := blockpage.Render(kind, vars)
-	return page(kind.Status(), h, kind, func() string { return body }, len(body), "")
-}
-
-// applyAccessControl walks the serving chain and returns the denial
-// response if any layer refuses the request.
-func applyAccessControl(w *worldgen.World, d *worldgen.Domain, req Request, loc geo.Location, vars blockpage.Vars, header http.Header, rng *stats.RNG) (Response, bool) {
+// accessDenial walks the serving chain and returns the page of the
+// first layer that refuses the request, or KindNone when none does.
+func accessDenial(w *worldgen.World, d *worldgen.Domain, req Request, loc geo.Location, rng *stats.RNG) blockpage.Kind {
 	crawler := crawlerLike(req.Header)
 
 	// Proxy-blacklist blocking fires before anything else: these
@@ -157,17 +157,17 @@ func applyAccessControl(w *worldgen.World, d *worldgen.Domain, req Request, loc 
 	// consistency analysis must exclude (§5.2.2).
 	if d.BlocksProxies && w.Geo.IsProxyExit(req.ClientIP) {
 		if d.DistilProtected {
-			return blockResponse(blockpage.DistilCaptcha, vars, header), true
+			return blockpage.DistilCaptcha
 		}
 		switch {
 		case d.FrontedBy(worldgen.Akamai):
-			return blockResponse(blockpage.Akamai, vars, header), true
+			return blockpage.Akamai
 		case d.FrontedBy(worldgen.Incapsula):
-			return blockResponse(blockpage.Incapsula, vars, header), true
+			return blockpage.Incapsula
 		case d.Hosting() == worldgen.OriginVarnish:
-			return blockResponse(blockpage.Varnish, vars, header), true
+			return blockpage.Varnish
 		default:
-			return blockResponse(blockpage.Nginx, vars, header), true
+			return blockpage.Nginx
 		}
 	}
 
@@ -175,7 +175,7 @@ func applyAccessControl(w *worldgen.World, d *worldgen.Domain, req Request, loc 
 		// Platform-level App Engine block (§4.2.1): Google itself, not
 		// the customer, denies sanctioned locations.
 		if p == worldgen.AppEngine && d.GAEHosted && gaeBlocked(loc) {
-			return blockResponse(blockpage.AppEngine, vars, header), true
+			return blockpage.AppEngine
 		}
 
 		if rule, ok := d.GeoRules[p]; ok && rule.Applies(loc, req.Clock) {
@@ -183,13 +183,13 @@ func applyAccessControl(w *worldgen.World, d *worldgen.Domain, req Request, loc 
 			case worldgen.ActionBlock:
 				if d.Legal451 {
 					// RFC 7725: the operator states the legal basis.
-					return blockResponse(blockpage.Legal451, vars, header), true
+					return blockpage.Legal451
 				}
-				return blockResponse(blockKind(p), vars, header), true
+				return blockKind(p)
 			case worldgen.ActionCaptcha:
-				return blockResponse(captchaKind(d, p), vars, header), true
+				return captchaKind(d, p)
 			case worldgen.ActionJS:
-				return blockResponse(blockpage.CloudflareJS, vars, header), true
+				return blockpage.CloudflareJS
 			}
 		}
 
@@ -199,11 +199,11 @@ func applyAccessControl(w *worldgen.World, d *worldgen.Domain, req Request, loc 
 		if crawler && d.BotSensitivity > 0 && rng.Bool(d.BotSensitivity) {
 			switch p {
 			case worldgen.Akamai:
-				return blockResponse(blockpage.Akamai, vars, header), true
+				return blockpage.Akamai
 			case worldgen.Incapsula:
-				return blockResponse(blockpage.Incapsula, vars, header), true
+				return blockpage.Incapsula
 			case worldgen.Cloudflare:
-				return blockResponse(blockpage.CloudflareCaptcha, vars, header), true
+				return blockpage.CloudflareCaptcha
 			}
 		}
 
@@ -215,7 +215,7 @@ func applyAccessControl(w *worldgen.World, d *worldgen.Domain, req Request, loc 
 		if p == worldgen.Cloudflare && w.Geo.IsAnonymizer(req.ClientIP) {
 			draw := float64(stats.Mix64(stats.FNV1a(d.Name)^uint64(req.ClientIP)^0x7042)>>11) / (1 << 53)
 			if draw < 0.80 {
-				return blockResponse(blockpage.CloudflareCaptcha, vars, header), true
+				return blockpage.CloudflareCaptcha
 			}
 		}
 
@@ -237,31 +237,31 @@ func applyAccessControl(w *worldgen.World, d *worldgen.Domain, req Request, loc 
 			draw := float64(stats.Mix64(stats.FNV1a(d.Name)^uint64(req.ClientIP)^0x5ca1ab1e)>>11) / (1 << 53)
 			if draw < d.ReputationSensitivity*risk {
 				if p == worldgen.Akamai {
-					return blockResponse(blockpage.Akamai, vars, header), true
+					return blockpage.Akamai
 				}
-				return blockResponse(blockpage.Incapsula, vars, header), true
+				return blockpage.Incapsula
 			}
 		}
 	}
 
 	// Airbnb's custom application-level restriction page.
 	if d.AirbnbStyle && airbnbBlocked(loc) {
-		return blockResponse(blockpage.Airbnb, vars, header), true
+		return blockpage.Airbnb
 	}
 
 	// IP-reputation noise: heavily defended sites challenge even
 	// browser-like residential clients at a low per-request rate.
 	if d.ResidentialChallengeRate > 0 && rng.Bool(d.ResidentialChallengeRate) {
 		if d.DistilProtected {
-			return blockResponse(blockpage.DistilCaptcha, vars, header), true
+			return blockpage.DistilCaptcha
 		}
 		if d.FrontedBy(worldgen.Cloudflare) {
-			return blockResponse(blockpage.CloudflareCaptcha, vars, header), true
+			return blockpage.CloudflareCaptcha
 		}
-		return blockResponse(blockpage.DistilCaptcha, vars, header), true
+		return blockpage.DistilCaptcha
 	}
 
-	return Response{}, false
+	return blockpage.KindNone
 }
 
 // blockKind maps a provider to its hard-block page.
@@ -338,14 +338,23 @@ func crawlerLike(h http.Header) bool {
 	if h == nil {
 		return true
 	}
-	ua := h.Get("User-Agent")
+	ua := headerValue(h, "User-Agent")
 	if ua == "" {
 		return true
 	}
-	if h.Get("Accept") == "" || h.Get("Accept-Language") == "" {
+	if headerValue(h, "Accept") == "" || headerValue(h, "Accept-Language") == "" {
 		return true
 	}
 	return false
+}
+
+// headerValue is h.Get for a key in canonical form, without Get's
+// canonicalization pass.
+func headerValue(h http.Header, key string) string {
+	if v := h[key]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
 }
 
 // redirectLocation computes the next hop of the domain's same-site
@@ -354,9 +363,9 @@ func redirectLocation(d *worldgen.Domain, req Request) string {
 	if d.RedirectLoop {
 		// Pathological: bounce between two paths forever.
 		if req.Path == "/a" {
-			return fmt.Sprintf("%s://%s/b", req.Scheme, req.Host)
+			return req.Scheme + "://" + req.Host + "/b"
 		}
-		return fmt.Sprintf("%s://%s/a", req.Scheme, req.Host)
+		return req.Scheme + "://" + req.Host + "/a"
 	}
 	www := len(req.Host) > 4 && req.Host[:4] == "www."
 	switch {
@@ -368,42 +377,77 @@ func redirectLocation(d *worldgen.Domain, req Request) string {
 	return ""
 }
 
+// rayAndNonce renders ray as 16 and nonce as 8 zero-padded lowercase
+// hex digits, in one string: fmt's %016x and %08x without fmt.
+func rayAndNonce(ray uint64, nonce uint32) string {
+	const digits = "0123456789abcdef"
+	var buf [24]byte
+	for i := 15; i >= 0; i-- {
+		buf[i] = digits[ray&0xf]
+		ray >>= 4
+	}
+	for i := 23; i >= 16; i-- {
+		buf[i] = digits[nonce&0xf]
+		nonce >>= 4
+	}
+	return string(buf[:])
+}
+
+// The static provider header values, rendered once and shared by every
+// response. Sharing is safe: nothing modifies a header value in place,
+// and Header.Add appends to these full slices by copying.
+var (
+	hdrHTML           = []string{"text/html; charset=utf-8"}
+	hdrCloudflare     = []string{"cloudflare"}
+	hdrCloudFrontMiss = []string{"Miss from cloudfront"}
+	hdrIncapsula      = []string{"Incapsula"}
+	hdrYes            = []string{"YES"}
+	hdrBaidu          = []string{"yunjiasu-nginx"}
+	hdrSoasta         = []string{"soasta-mpulse"}
+	hdrNginx          = []string{"nginx/1.14.0"}
+	hdrVarnish        = []string{"1.1 varnish"}
+	hdrApache         = []string{"Apache/2.4.29 (Ubuntu)"}
+)
+
 // addProviderHeaders attaches each provider's identifying headers: the
-// discovery signals of §5.1.1.
-func addProviderHeaders(h http.Header, p worldgen.Provider, req Request, vars blockpage.Vars) {
+// discovery signals of §5.1.1. Keys are canonical (CF-RAY travels as
+// Cf-Ray, X-CDN as X-Cdn), and a later provider's header replaces an
+// earlier one's, as Header.Set would.
+func addProviderHeaders(h http.Header, p worldgen.Provider, req Request, ids string) {
+	ray, nonce := ids[:16], ids[16:]
 	switch p {
 	case worldgen.Cloudflare:
-		h.Set("Server", "cloudflare")
-		h.Set("CF-RAY", vars.RayID[:12]+"-SIM")
+		h["Server"] = hdrCloudflare
+		h["Cf-Ray"] = []string{ray[:12] + "-SIM"}
 	case worldgen.CloudFront:
-		h.Set("Via", "1.1 "+vars.Nonce+".cloudfront.net (CloudFront)")
-		h.Set("X-Amz-Cf-Id", vars.RayID+vars.Nonce)
-		h.Set("X-Cache", "Miss from cloudfront")
+		h["Via"] = []string{"1.1 " + nonce + ".cloudfront.net (CloudFront)"}
+		h["X-Amz-Cf-Id"] = []string{ids} // the Ray ID followed by the nonce
+		h["X-Cache"] = hdrCloudFrontMiss
 	case worldgen.Incapsula:
-		h.Set("X-Iinfo", fmt.Sprintf("9-%s 0NNN RT", vars.Nonce))
-		h.Set("X-CDN", "Incapsula")
+		h["X-Iinfo"] = []string{"9-" + nonce + " 0NNN RT"}
+		h["X-Cdn"] = hdrIncapsula
 	case worldgen.Akamai:
 		// Akamai identifies itself only when poked with the Pragma
 		// debug header (§5.1.1).
 		if wantsAkamaiDebug(req.Header) {
-			h.Set("X-Cache", "TCP_MISS from a23-"+vars.Nonce[:4]+".deploy.akamaitechnologies.com (AkamaiGHost/9.5.0)")
-			h.Set("X-Check-Cacheable", "YES")
-			h.Set("X-Cache-Key", "/L/1234/567890/1d/origin."+vars.Domain+"/")
+			h["X-Cache"] = []string{"TCP_MISS from a23-" + nonce[:4] + ".deploy.akamaitechnologies.com (AkamaiGHost/9.5.0)"}
+			h["X-Check-Cacheable"] = hdrYes
+			h["X-Cache-Key"] = []string{"/L/1234/567890/1d/origin." + req.Domain.Name + "/"}
 		}
 	case worldgen.Baidu:
-		h.Set("Server", "yunjiasu-nginx")
+		h["Server"] = hdrBaidu
 	case worldgen.Soasta:
-		h.Set("X-1-Edge", "soasta-mpulse")
+		h["X-1-Edge"] = hdrSoasta
 	case worldgen.AppEngine:
 		// No identifying header: App Engine customers are discovered by
 		// netblock (§5.1.1).
 	case worldgen.OriginNginx:
-		h.Set("Server", "nginx/1.14.0")
+		h["Server"] = hdrNginx
 	case worldgen.OriginVarnish:
-		h.Set("Via", "1.1 varnish")
-		h.Set("X-Varnish", vars.Nonce)
+		h["Via"] = hdrVarnish
+		h["X-Varnish"] = []string{nonce}
 	case worldgen.OriginApache:
-		h.Set("Server", "Apache/2.4.29 (Ubuntu)")
+		h["Server"] = hdrApache
 	}
 }
 
@@ -413,7 +457,7 @@ func wantsAkamaiDebug(h http.Header) bool {
 	if h == nil {
 		return false
 	}
-	for _, v := range h.Values("Pragma") {
+	for _, v := range h["Pragma"] {
 		if containsFold(v, "akamai-x-cache-on") || containsFold(v, "akamai-x-get-cache-key") {
 			return true
 		}

@@ -29,6 +29,7 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -299,6 +300,35 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
+// Request body caps. Lease and extend requests are a few small JSON
+// fields. A completion is one shard's framed journal records, sized by
+// the journal's own per-record bound (runstore.MaxShardPayload).
+const (
+	maxControlBody  = 64 << 10
+	maxCompleteBody = runstore.MaxShardPayload
+)
+
+// readBody reads r's body if it is at most limit bytes. It answers 413
+// for a larger body, whether its Content-Length announces the size or
+// the read runs past the cap, and 400 for a body it cannot read.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) ([]byte, bool) {
+	if r.ContentLength > limit {
+		http.Error(w, fmt.Sprintf("fabric: %s body of %d bytes exceeds %d", what, r.ContentLength, limit), http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("fabric: %s body exceeds %d bytes", what, limit), http.StatusRequestEntityTooLarge)
+		return nil, false
+	case err != nil:
+		http.Error(w, "fabric: reading "+what+": "+err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	return body, true
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
@@ -326,8 +356,12 @@ func (c *Coordinator) handlePhase(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r, maxControlBody, "lease request")
+	if !ok {
+		return
+	}
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		http.Error(w, "fabric: bad lease request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -421,8 +455,12 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleExtend(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r, maxControlBody, "extend request")
+	if !ok {
+		return
+	}
 	var req ExtendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		http.Error(w, "fabric: bad extend request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -457,9 +495,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "fabric: bad complete parameters", http.StatusBadRequest)
 		return
 	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, "fabric: reading completion: "+err.Error(), http.StatusBadRequest)
+	body, ok := readBody(w, r, maxCompleteBody, "completion")
+	if !ok {
 		return
 	}
 	samples, cp, err := runstore.DecodeShardFrames(body)

@@ -243,7 +243,7 @@ func checkCodecParity(p *Pass) {
 					continue
 				}
 				w3seen[k] = true
-				p.Reportf(fv.Pos(),"field %s.%s is never touched by %s: if it belongs on the wire, encode it; if it is derived at decode, suppress this line with the reason",
+				p.Reportf(fv.Pos(), "field %s.%s is never touched by %s: if it belongs on the wire, encode it; if it is derived at decode, suppress this line with the reason",
 					shortStruct(structKey), fv.Name(), pair.enc.Name())
 			}
 		}
@@ -408,4 +408,3 @@ func moduleStruct(p *Pass, structKey string) *types.Struct {
 	}
 	return st
 }
-

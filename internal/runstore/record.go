@@ -43,6 +43,13 @@ const frameHeader = 8
 // is treated as corruption, not an allocation request.
 const maxPayload = 16 << 20
 
+// MaxShardPayload bounds one shard's EncodeShardFrames payload, the
+// body of a fabric completion: room for a maximal checkpoint record
+// (which carries the unit's metrics and trace events on the wire) and
+// as much again of sample records. Shards of the shipped sizes stay
+// far below it.
+const MaxShardPayload = 2 * (frameHeader + maxPayload)
+
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is the decoded form of one journal record. Type selects which

@@ -1,4 +1,5 @@
-// The fetcher layer: one HTTP attempt and its error classification.
+// The fetcher layer: one HTTP attempt, its redirect chain, and its
+// error classification.
 package scanner
 
 import (
@@ -7,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 
 	"geoblock/internal/geo"
 	"geoblock/internal/vnet"
@@ -15,25 +17,20 @@ import (
 
 var errRedirectLimit = errors.New("scanner: redirect limit reached")
 
-// redirectLimiter builds the http.Client redirect policy for the
-// configured chain bound.
-func redirectLimiter(maxRedirects int) func(*http.Request, []*http.Request) error {
-	return func(req *http.Request, via []*http.Request) error {
-		if len(via) >= maxRedirects {
-			return errRedirectLimit
-		}
-		return nil
-	}
-}
-
-// fetcher performs single attempts through one transport. It carries
-// the shard's context so every request is cancellable end to end.
+// fetcher performs single attempts through one transport, following
+// redirects itself: each hop is one RoundTrip on the session, so the
+// exit's request budget counts every hop. It carries the shard's
+// context so every request is cancellable end to end.
 type fetcher struct {
-	ctx      context.Context
-	client   *http.Client
-	headers  map[string]string
-	keepBody func(status, bodyLen int) bool
-	met      *fetchMetrics
+	ctx context.Context
+	rt  http.RoundTripper
+	// header is the canonical request header, built once and shared
+	// read-only by every request of every attempt: the RoundTripper
+	// contract forbids transports from modifying a request.
+	header       http.Header
+	maxRedirects int
+	keepBody     func(status, bodyLen int) bool
+	met          *fetchMetrics
 }
 
 // newFetcher builds a fetcher over rt with the config's header set,
@@ -42,15 +39,61 @@ func newFetcher(ctx context.Context, rt http.RoundTripper, cfg Config) *fetcher 
 	if cfg.WrapTransport != nil {
 		rt = cfg.WrapTransport(rt)
 	}
+	header := make(http.Header, len(cfg.Headers))
+	for k, v := range cfg.Headers {
+		header.Set(k, v)
+	}
 	return &fetcher{
-		ctx: ctx,
-		client: &http.Client{
-			Transport:     rt,
-			CheckRedirect: redirectLimiter(cfg.MaxRedirects),
-		},
-		headers:  cfg.Headers,
-		keepBody: cfg.KeepBody,
-		met:      newFetchMetrics(cfg.Metrics),
+		ctx:          ctx,
+		rt:           rt,
+		header:       header,
+		maxRedirects: cfg.MaxRedirects,
+		keepBody:     cfg.KeepBody,
+		met:          newFetchMetrics(cfg.Metrics),
+	}
+}
+
+// do sends req and follows its redirect chain the way http.Client
+// does: 301, 302, 303, 307 and 308 answers that carry a Location are
+// followed (a bodiless GET keeps its method on every one of them), the
+// Location resolves against the hop's URL, each hop's request carries
+// the response that caused it in Request.Response, and the chain stops
+// with errRedirectLimit once maxRedirects requests have been answered
+// with a redirect. A 3xx without a Location is the final response.
+func (f *fetcher) do(req *http.Request) (*http.Response, error) {
+	for hops := 1; ; hops++ {
+		resp, err := f.rt.RoundTrip(req)
+		if err != nil {
+			return nil, err
+		}
+		if resp.Body == nil {
+			if resp.ContentLength > 0 {
+				return nil, fmt.Errorf("scanner: %T returned a nil body for %d bytes", f.rt, resp.ContentLength)
+			}
+			resp.Body = http.NoBody
+		}
+		switch resp.StatusCode {
+		case http.StatusMovedPermanently, http.StatusFound, http.StatusSeeOther,
+			http.StatusTemporaryRedirect, http.StatusPermanentRedirect:
+		default:
+			return resp, nil
+		}
+		loc := resp.Header.Get("Location")
+		if loc == "" {
+			return resp, nil
+		}
+		u, err := req.URL.Parse(loc)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		if hops >= f.maxRedirects {
+			return nil, errRedirectLimit
+		}
+		next := new(http.Request)
+		*next = *req // keeps the method, header and context
+		next.URL, next.Host, next.Response = u, "", resp
+		req = next
 	}
 }
 
@@ -65,17 +108,17 @@ func (f *fetcher) fetch(domain string, seed uint64, t Task, attempt uint8, exit 
 	}
 	s = Sample{Domain: t.Domain, Country: t.Country, Attempt: attempt, Seed: seed, ExitIP: exit}
 
-	ctx := vnet.WithSampleSeed(f.ctx, seed)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+domain+"/", nil)
-	if err != nil {
-		s.Err = ErrDNS
-		return s
-	}
-	for k, v := range f.headers {
-		req.Header.Set(k, v)
-	}
+	req := (&http.Request{
+		Method:     http.MethodGet,
+		URL:        &url.URL{Scheme: "http", Host: domain, Path: "/"},
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     f.header,
+		Host:       domain,
+	}).WithContext(vnet.WithSampleSeed(f.ctx, seed))
 
-	resp, err := f.client.Do(req)
+	resp, err := f.do(req)
 	if err != nil {
 		s.Err = classifyError(err)
 		return s
@@ -131,8 +174,9 @@ func Replay(ctx context.Context, w *worldgen.World, domain string, exit geo.IP, 
 }
 
 // classifyError maps transport errors onto the sample taxonomy. The
-// redirect-limit sentinel surfaces wrapped in the *url.Error that
-// http.Client.Do returns, so errors.Is unwraps it.
+// fetcher returns the redirect-limit sentinel bare; errors.Is still
+// unwraps it from any wrapping (an *url.Error, say, from a caller that
+// follows redirects with an *http.Client).
 func classifyError(err error) ErrCode {
 	var op *vnet.OpError
 	if errors.As(err, &op) {

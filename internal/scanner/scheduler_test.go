@@ -321,9 +321,11 @@ func TestClassifyError(t *testing.T) {
 		{&vnet.OpError{Op: "dns", Msg: "no such host"}, ErrDNS},
 		{&vnet.OpError{Op: "proxy", Msg: "exit failed"}, ErrProxy},
 		{&vnet.OpError{Op: "read", Msg: "reset"}, ErrReset},
+		// The fetcher's redirect loop returns the sentinel bare.
 		{errRedirectLimit, ErrRedirects},
-		// http.Client.Do wraps CheckRedirect errors in *url.Error;
-		// classification must unwrap rather than string-match.
+		// An http.Client following redirects (the conformance test's
+		// reference fetch) wraps it in *url.Error; classification must
+		// unwrap rather than string-match.
 		{wrapURLError(errRedirectLimit), ErrRedirects},
 		{errors.New("mystery"), ErrProxy},
 	}

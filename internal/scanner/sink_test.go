@@ -56,7 +56,7 @@ func TestDropBodies(t *testing.T) {
 
 // TestRedirectLoopClassified drives the typed redirect-limit
 // classification end to end: a redirect-loop domain must come back as
-// ErrRedirects through the *url.Error wrapping of http.Client.Do.
+// ErrRedirects from the fetcher's own redirect loop.
 func TestRedirectLoopClassified(t *testing.T) {
 	var name string
 	for _, d := range testWorld.Top10K() {

@@ -127,7 +127,7 @@ type Snapshot struct {
 
 	domains    []string
 	countries  []geo.CountryCode
-	domainIdx  map[string]int32  //geolint:allow wirecheck derived at decode by index(), never on the wire
+	domainIdx  map[string]int32          //geolint:allow wirecheck derived at decode by index(), never on the wire
 	countryIdx map[geo.CountryCode]int32 //geolint:allow wirecheck derived at decode by index(), never on the wire
 	rows       []countryRow
 

@@ -1,8 +1,9 @@
 // Package vnet is the virtual network layer: it connects a client
-// address to the simulated web through a standard http.RoundTripper, so
-// the measurement tooling above it runs on an ordinary *http.Client
-// with real redirect handling, header canonicalization and error
-// semantics.
+// address to the simulated web through a standard http.RoundTripper.
+// The scanner's fetcher drives that transport directly, one RoundTrip
+// per redirect hop, and follows the chain itself the way http.Client
+// does; Stack.Client wraps it in an ordinary *http.Client for the
+// tooling that wants one.
 //
 // The stack performs DNS resolution against the world, applies national
 // censorship in-path (resets, poisoned DNS, injected block pages,
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"geoblock/internal/blockpage"
@@ -154,9 +156,10 @@ func (s *Stack) censorPage(req *http.Request, d *worldgen.Domain, seed uint64) (
 		ClientIP: s.IP.String(),
 		Nonce:    fmt.Sprintf("%06x", uint32(rng.Uint64())),
 	})
-	h := make(http.Header)
-	h.Set("Content-Type", "text/html; charset=windows-1256")
-	h.Set("Content-Length", fmt.Sprintf("%d", len(body)))
+	h := http.Header{
+		"Content-Type":   {"text/html; charset=windows-1256"},
+		"Content-Length": {strconv.Itoa(len(body))},
+	}
 	return &http.Response{
 		Status:        "403 Forbidden",
 		StatusCode:    403,
@@ -175,7 +178,7 @@ func (s *Stack) censorPage(req *http.Request, d *worldgen.Domain, seed uint64) (
 // semantics, but keep Content-Length.
 func toHTTP(req *http.Request, r cdn.Response) *http.Response {
 	resp := &http.Response{
-		Status:        fmt.Sprintf("%d %s", r.Status, http.StatusText(r.Status)),
+		Status:        statusLine(r.Status),
 		StatusCode:    r.Status,
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
@@ -190,6 +193,23 @@ func toHTTP(req *http.Request, r cdn.Response) *http.Response {
 	}
 	resp.Body = newLazyBody(r.Body)
 	return resp
+}
+
+// statusLines holds the Status field ("200 OK", "403 Forbidden") of
+// every code below 600, so no response formats its own.
+var statusLines = func() (t [600]string) {
+	for code := range t {
+		t[code] = strconv.Itoa(code) + " " + http.StatusText(code)
+	}
+	return t
+}()
+
+// statusLine is the Status field of a response with the given code.
+func statusLine(code int) string {
+	if code >= 0 && code < len(statusLines) {
+		return statusLines[code]
+	}
+	return strconv.Itoa(code) + " " + http.StatusText(code)
 }
 
 // lazyBody renders the page on first Read; responses whose bodies are

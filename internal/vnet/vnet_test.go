@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -345,5 +346,15 @@ func TestOpError(t *testing.T) {
 	}
 	if !strings.Contains(e.Error(), "x.com") {
 		t.Fatal("error text missing host")
+	}
+}
+
+// TestStatusLineMatchesFmt pins the status-line table to the Sprintf
+// form it replaced, inside the table and past both of its ends.
+func TestStatusLineMatchesFmt(t *testing.T) {
+	for code := -2; code < 700; code++ {
+		if got, want := statusLine(code), fmt.Sprintf("%d %s", code, http.StatusText(code)); got != want {
+			t.Fatalf("statusLine(%d) = %q, want %q", code, got, want)
+		}
 	}
 }
